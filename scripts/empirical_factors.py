@@ -5,8 +5,8 @@ For a grid of inner angles, prints the exact factor at which the set of
 solutions optimal for some cone of that angle covers each instance,
 alongside the guarantee 1 + tan(gamma/2 - pi/4) and the 2*gamma/pi rule of
 thumb.  Convex fronts sit at factor 1 (their supported sets are the whole
-efficient set); concave fronts and subset-enumeration instances approach
-the guarantee as the angle widens.
+efficient set); on concave fronts and subset-enumeration instances the
+factor rises above 1 as the angle widens and stays below the guarantee.
 """
 
 import argparse

@@ -27,9 +27,8 @@ from . import generators
 from .approximation import min_alpha, verify_approx_set
 from .bounds import BoundTable, guarantee_factor, rule_of_thumb
 from .errors import ConeApproxError, InstanceFormatError, UnknownId
-from .geometry import ConeParams
+from .geometry import ConeParams, admissible_range
 from .instances import (
-    MIN,
     Instance,
     dump_instance,
     instance_to_obj,
@@ -86,11 +85,9 @@ def cmd_sets(args: argparse.Namespace) -> int:
             return 1
         try:
             gamma = parse_angle(args.gamma)
-        except ValueError:
-            print(f"cannot parse angle {args.gamma!r}", file=sys.stderr)
-            return 1
-        if not (0.5 * math.pi - 1e-12 <= gamma <= math.pi + 1e-12):
-            print(f"inner angle {gamma} outside [pi/2, pi]", file=sys.stderr)
+            admissible_range(gamma)
+        except ValueError as exc:
+            print(f"bad inner angle {args.gamma!r}: {exc}", file=sys.stderr)
             return 1
         ids = gamma_supported_set(instance, gamma)
     print(json.dumps(sorted(ids)))
@@ -111,7 +108,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("--gamma and --phi must be given together", file=sys.stderr)
         return 2
     if args.gamma is not None:
-        params = ConeParams(parse_angle(args.gamma), parse_angle(args.phi))
+        try:
+            params = ConeParams(parse_angle(args.gamma), parse_angle(args.phi))
+        except ValueError as exc:
+            print(f"bad cone angles: {exc}", file=sys.stderr)
+            return 1
     report = verify_approx_set(instance, selection, args.alpha, params)
     print(json.dumps(report.to_obj()))
     return 0 if report.is_valid else 1
@@ -162,12 +163,12 @@ def sweep_rows(gamma_from: float, gamma_to: float, steps: int, spec: str) -> lis
     """One row per inner angle: empirical factor of the supported-style set
     against the guarantee and the rule of thumb."""
     family, kwargs = parse_generator_spec(spec)
+    if family in generators.MAXIMIZATION_FAMILIES:
+        raise ConeApproxError("sweep requires a minimization family")
     rows = []
     for gamma in np.linspace(gamma_from, gamma_to, steps):
         gamma = float(gamma)
         instance = generators.make_family_instance(family, gamma=gamma, **kwargs)
-        if instance.sense != MIN:
-            raise ConeApproxError("sweep requires a minimization family")
         supported = gamma_supported_set(instance, gamma)
         rows.append(
             {

@@ -17,8 +17,8 @@ cone-order optimality can guarantee:
 
 Random families (seeded, bit-reproducible given the same numpy version):
 fronts on strictly convex or strictly concave decreasing curves, a mixed
-front with dominated noise, and exhaustive enumeration of additive
-two-cost subset instances.
+front with dominated noise, and exhaustive enumeration of subset instances
+that trade selected cost against unselected value.
 """
 
 from __future__ import annotations
@@ -193,10 +193,11 @@ def _concave_points(rng: np.random.Generator, n: int) -> list[tuple[float, float
 
 
 def knapsack_enumeration(k: int, seed: int) -> Instance:
-    """All 2^k subsets of k items under two additive positive costs.
+    """All 2^k subsets of k items, id "s" + the item-membership bitstring.
 
-    Each subset is one solution, id "s" + its item-membership bitstring;
-    objectives are a base cost plus the summed item costs.  Minimization.
+    Minimization of f1 = base cost + costs of the selected items against
+    f2 = base loss + values of the items left out: both strictly positive
+    and in conflict, so the efficient set is a genuine front.
     """
     if k < 1:
         raise InvalidParams(f"need k >= 1, got {k!r}")
@@ -204,12 +205,13 @@ def knapsack_enumeration(k: int, seed: int) -> Instance:
         raise KTooLarge(f"subset enumeration capped at k = 20, got {k!r}")
     rng = np.random.default_rng(seed)
     base = rng.uniform(1.0, 2.0, size=2)
-    costs = rng.uniform(0.5, 3.0, size=(k, 2))
+    items = rng.uniform(0.5, 3.0, size=(k, 2))
     members = (np.arange(2**k)[:, None] >> np.arange(k)[None, :]) & 1
-    totals = base[None, :] + members @ costs
+    f1 = base[0] + members @ items[:, 0]
+    f2 = base[1] + (1 - members) @ items[:, 1]
     sols = tuple(
-        Solution("s" + "".join(str(b) for b in bits), (float(f1), float(f2)))
-        for bits, (f1, f2) in zip(members, totals)
+        Solution("s" + "".join(str(b) for b in bits), (float(a), float(b)))
+        for bits, a, b in zip(members, f1, f2)
     )
     return Instance(MIN, sols)
 
@@ -227,6 +229,9 @@ FAMILIES = {
 
 # Families whose construction depends on the inner angle.
 GAMMA_FAMILIES = {"single-cone", "always-optimal", "tightness", "maximization"}
+
+# Families that build maximization instances; every other one minimizes.
+MAXIMIZATION_FAMILIES = {"maximization"}
 
 
 def make_family_instance(family: str, gamma: float | None = None, **kwargs) -> Instance:

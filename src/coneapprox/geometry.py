@@ -15,13 +15,16 @@ a positively weighted sum.  Admissible rotations form the closed interval
 gamma = pi, where the two axis-aligned halfplanes must be excluded.
 
 In direction space the cone spans the angles [-phi, gamma - phi], which is
-what dominating_rotations() exploits to invert membership queries over phi.
+what rotation_window() and dominating_rotations() exploit to invert
+membership queries over phi.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InadmissibleCone, ZeroDirection
 from .intervals import PhiIntervalSet
@@ -124,10 +127,12 @@ def cone_leq(params: ConeParams, y: Vector2, y2: Vector2) -> bool:
 
 def rotation_window(gamma: float, d: Vector2) -> tuple[float, float]:
     """Unclipped rotation interval [-theta, gamma - theta] on which d lies in
-    the cone, with theta = atan2(d2, d1).  Raises ZeroDirection for d = (0, 0)."""
+    the cone, with theta = atan2(d2, d1).  Raises ZeroDirection for d = (0, 0).
+    numpy's arctan2 (not math.atan2, which can differ in the last bit) keeps
+    this bit-identical to the block kernel intervals.surviving_intervals."""
     if d[0] == 0.0 and d[1] == 0.0:
         raise ZeroDirection("direction (0, 0) has no rotation window")
-    theta = math.atan2(d[1], d[0])
+    theta = float(np.arctan2(d[1], d[0]))
     return (-theta, gamma - theta)
 
 
@@ -145,4 +150,4 @@ def dominating_rotations(gamma: float, d: Vector2) -> PhiIntervalSet:
     hi = min(ambient[1], raw_hi)
     if lo > hi:
         return PhiIntervalSet.empty(ambient)
-    return PhiIntervalSet(ambient, ((lo, hi),))
+    return PhiIntervalSet(ambient, (lo, hi))

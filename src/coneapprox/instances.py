@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import isfinite
 from pathlib import Path
 
@@ -45,21 +46,24 @@ class Instance:
     def ids(self) -> list[str]:
         return [s.id for s in self.solutions]
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        # Id -> first position, built on first use; duplicate ids are left
+        # for validate() to report.
+        return {s.id: i for i, s in reversed(list(enumerate(self.solutions)))}
+
     def objectives_of(self, solution_id: str) -> Vector2:
-        for s in self.solutions:
-            if s.id == solution_id:
-                return s.objectives
-        raise UnknownId(solution_id)
+        return self.solutions[self.index_of(solution_id)].objectives
 
     def objective_array(self) -> np.ndarray:
         """Images as a float array of shape (n, 2), in solution order."""
         return np.array([s.objectives for s in self.solutions], dtype=float)
 
     def index_of(self, solution_id: str) -> int:
-        for i, s in enumerate(self.solutions):
-            if s.id == solution_id:
-                return i
-        raise UnknownId(solution_id)
+        try:
+            return self._index[solution_id]
+        except KeyError:
+            raise UnknownId(solution_id) from None
 
 
 def make_instance(sense: str, items: list[tuple[str, float, float]]) -> Instance:
@@ -98,10 +102,6 @@ def validate(instance: Instance) -> list[Violation]:
             elif v <= 0.0:
                 out.append(Violation("nonpositive-objective", s.id, f"component {k} is {v!r}, must be > 0"))
     return out
-
-
-def images_equal(a: Vector2, b: Vector2, tol: float = TAU_VAL) -> bool:
-    return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
 
 
 def dominates(instance: Instance, a: str, b: str) -> bool:

@@ -1,90 +1,108 @@
-"""Unions of disjoint closed rotation intervals inside an admissible range.
+"""The single rotation interval a solution keeps, and the kernel that finds it.
 
-These sets answer the existential quantifier in gamma-supportedness queries
-("is there some rotation at which ..."): a solution's admissible rotations
-start as the full range and dominating intervals are subtracted one by one.
-Subtraction is exact up to TAU_ANGLE: remainder slivers not longer than
-TAU_ANGLE are dropped, and subtrahends not longer than TAU_ANGLE are
-invisible (a finite instance would need ~1e12 dominators for that to
-matter).  A degenerate ambient range (gamma = pi/2, where phi = 0 is the
-only admissible rotation) is kept as the single point interval and is
-emptied by any subtrahend touching it.
+Each other image removes its window [-theta, gamma - theta] from the
+admissible range (see geometry.rotation_window).  A window is gamma long and
+the range only gamma - pi/2, so a clipped window is empty, a prefix [a0, h],
+a suffix [l, a1] or the whole range, and what survives is one interval
+[max h, min l]: surviving_intervals() finds it in one vectorized O(n) pass
+per solution.  Tolerance rules:
+
+* a degenerate range (gamma = pi/2: phi = 0 only) survives only if no
+  window meets it, and a window covering the whole range empties the set;
+* closed removal (gamma < pi, and all coverage gaps) ignores windows not
+  longer than TAU_ANGLE and leaves a set only if U - L > TAU_ANGLE;
+* tie endpoints (supportedness at gamma = pi, where a window endpoint is an
+  equal weighted sum, not a domination) survive, so U >= L suffices and a
+  single-rotation interval is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tolerances import TAU_ANGLE
+import numpy as np
+
+from .tolerances import TAU_ANGLE, TAU_VAL
 
 Interval = tuple[float, float]
+
+# Entries of the difference matrix per block: bounds the temporaries.
+BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
 class PhiIntervalSet:
-    """Sorted, pairwise disjoint closed intervals within `ambient`."""
+    """At most one closed interval within `ambient`; None means empty."""
 
     ambient: Interval
-    intervals: tuple[Interval, ...] = ()
+    interval: Interval | None = None
 
     @classmethod
     def full(cls, ambient: Interval) -> "PhiIntervalSet":
-        return cls(ambient, (ambient,))
+        return cls(ambient, ambient)
 
     @classmethod
     def empty(cls, ambient: Interval) -> "PhiIntervalSet":
-        return cls(ambient, ())
+        return cls(ambient)
+
+    @property
+    def intervals(self) -> tuple[Interval, ...]:
+        return () if self.interval is None else (self.interval,)
 
     def is_empty(self) -> bool:
-        return not self.intervals
+        return self.interval is None
 
     def is_full(self) -> bool:
-        if not self.intervals:
-            return self.ambient[1] - self.ambient[0] < -TAU_ANGLE
         return (
-            len(self.intervals) == 1
-            and self.intervals[0][0] <= self.ambient[0] + TAU_ANGLE
-            and self.intervals[0][1] >= self.ambient[1] - TAU_ANGLE
+            self.interval is not None
+            and self.interval[0] <= self.ambient[0] + TAU_ANGLE
+            and self.interval[1] >= self.ambient[1] - TAU_ANGLE
         )
 
     def total_length(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
+        """Length of the interval; 0.0 if the set is empty."""
+        return 0.0 if self.interval is None else self.interval[1] - self.interval[0]
 
-    def min_length(self) -> float:
-        """Length of the shortest interval; 0.0 if the set is empty."""
-        if not self.intervals:
-            return 0.0
-        return min(hi - lo for lo, hi in self.intervals)
+    min_length = total_length
 
     def contains(self, phi: float, tol: float = TAU_ANGLE) -> bool:
-        return any(lo - tol <= phi <= hi + tol for lo, hi in self.intervals)
+        return self.interval is not None and self.interval[0] - tol <= phi <= self.interval[1] + tol
 
-    def subtract(self, lo: float, hi: float, keep_lo: bool = False, keep_hi: bool = False) -> "PhiIntervalSet":
-        """Remove the interval [lo, hi], exact up to TAU_ANGLE.
 
-        keep_lo / keep_hi exclude that endpoint from removal (the subtrahend
-        is treated as open there); the surviving endpoint is retained even as
-        a degenerate single-point interval.  Closed removal drops remainder
-        slivers not longer than TAU_ANGLE.
-        """
-        a0, a1 = self.ambient
+def surviving_intervals(
+    rows: np.ndarray, cols: np.ndarray, gamma: float, ambient: Interval, *, keep_ties: bool, coincide_covers: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, alive): row i keeps the rotations [lo[i], hi[i]] if alive[i],
+    after the windows of all differences d = rows[i] - cols[j] (minimization
+    direction) are removed.  Pairs coinciding within TAU_VAL are skipped or,
+    with coincide_covers, empty their row; keep_ties picks the tie rule."""
+    a0, a1 = ambient
+    lo_out = np.full(len(rows), a0)
+    hi_out = np.full(len(rows), a1)
+    alive = np.empty(len(rows), dtype=bool)
+    step = max(1, BLOCK_ELEMENTS // max(1, len(cols)))
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        d1 = rows[block, 0, None] - cols[None, :, 0]
+        d2 = rows[block, 1, None] - cols[None, :, 1]
+        coincide = (np.abs(d1) <= TAU_VAL) & (np.abs(d2) <= TAU_VAL)
+        theta = np.arctan2(d2, d1)
+        lo = np.maximum(-theta, a0)
+        hi = np.minimum(gamma - theta, a1)
+        meets = (lo <= hi) & ~coincide
         if a1 - a0 <= TAU_ANGLE:
-            # Degenerate range: the single admissible rotation either survives
-            # untouched or is removed outright (endpoint flags do not apply).
-            if self.intervals and lo - TAU_ANGLE <= a0 <= hi + TAU_ANGLE:
-                return PhiIntervalSet.empty(self.ambient)
-            return self
-        if hi - lo <= TAU_ANGLE and not (keep_lo or keep_hi):
-            return self
-        out: list[Interval] = []
-        for p, q in self.intervals:
-            if q <= lo or p >= hi:
-                out.append((p, q))
-                continue
-            left = min(q, lo) - p
-            if left > TAU_ANGLE or (keep_lo and 0.0 <= left):
-                out.append((p, min(q, lo)))
-            right = q - max(p, hi)
-            if right > TAU_ANGLE or (keep_hi and 0.0 <= right):
-                out.append((max(p, hi), q))
-        return PhiIntervalSet(self.ambient, tuple(out))
+            keep = ~meets.any(axis=1)
+        else:
+            if not keep_ties:
+                meets &= hi - lo > TAU_ANGLE
+            prefix = meets & (lo == a0)
+            # A whole-range window is a prefix that ends at +inf.
+            ends = np.where(hi == a1, np.inf, hi)
+            lower = np.where(prefix, ends, -np.inf).max(axis=1, initial=a0)
+            upper = np.where(meets & ~prefix, lo, np.inf).min(axis=1, initial=a1)
+            keep = upper >= lower if keep_ties else upper - lower > TAU_ANGLE
+            lo_out[block], hi_out[block] = lower, upper
+        if coincide_covers:
+            keep &= ~coincide.any(axis=1)
+        alive[block] = keep
+    return lo_out, hi_out, alive

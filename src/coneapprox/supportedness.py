@@ -3,11 +3,11 @@
 For a fixed inner angle, a solution is supported in the generalized sense if
 some admissible rotation makes it optimal for the induced cone order.  On a
 finite instance this is decided exactly: each other solution dominates on a
-single closed rotation interval (see geometry.dominating_rotations), so the
-admissible rotations at which a solution stays optimal are the ambient range
-minus finitely many closed intervals, at O(n log n) per solution.  A sampled
-grid oracle is provided for testing; it can only under-approximate the exact
-set since it evaluates optimality at finitely many rotations.
+single closed rotation window (see geometry.rotation_window), and what the
+windows leave of the admissible range is always a single interval, found in
+one vectorized O(n) pass per solution (see intervals.surviving_intervals).
+A sampled grid oracle is provided for testing; it can only under-approximate
+the exact set since it evaluates optimality at finitely many rotations.
 
 Inner angle pi/2 recovers the efficient set, inner angle pi the classical
 supported solutions (optima of positively weighted sums).
@@ -20,54 +20,42 @@ import math
 import numpy as np
 
 from .errors import InvalidParams
-from .geometry import ConeParams, admissible_range, rotation_window
-from .instances import MAX, Instance, cone_efficient_set, images_equal
-from .intervals import PhiIntervalSet
+from .geometry import ConeParams, admissible_range
+from .instances import MAX, Instance, cone_efficient_set
+from .intervals import PhiIntervalSet, surviving_intervals
 from .tolerances import TAU_ANGLE
+
+
+def _optimal_rotations(instance: Instance, gamma: float, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """surviving_intervals() for the selected rows against every solution."""
+    ambient = admissible_range(gamma)
+    arr = instance.objective_array()
+    if instance.sense == MAX:
+        arr = -arr
+    return surviving_intervals(
+        arr[rows], arr, gamma, ambient, keep_ties=gamma >= math.pi - TAU_ANGLE, coincide_covers=False
+    )
 
 
 def optimal_phi_set(instance: Instance, gamma: float, solution_id: str) -> PhiIntervalSet:
     """Admissible rotations at which the solution is optimal for the cone order.
 
-    Computed as the admissible range minus, for every other solution with a
-    different image, the rotation window on which that solution dominates.
-    Dominating directions are image differences: f(x) - f(y) when minimizing,
+    The admissible range minus, for every solution with a different image,
+    the rotation window on which that solution dominates.  Dominating
+    directions are image differences: f(x) - f(y) when minimizing,
     f(y) - f(x) when maximizing.
 
     For inner angles below pi a window endpoint puts the difference exactly
     on an extreme ray of the (closed) cone, which still dominates, so the
     window is removed closed.  At gamma = pi the reduction map is singular
     and a window endpoint means equal weighted sums, which is a tie and not
-    a domination; such endpoints survive the subtraction, possibly as
-    degenerate single-rotation intervals (interior points of a collinear
-    front are optimal exactly at the tie rotation).
+    a domination; such endpoints survive, possibly as a degenerate
+    single-rotation interval (interior points of a collinear front are
+    optimal exactly at the tie rotation).
     """
     ambient = admissible_range(gamma)
-    halfplane = gamma >= math.pi - TAU_ANGLE
-    fx = instance.objectives_of(solution_id)
-    good = PhiIntervalSet.full(ambient)
-    for other in instance.solutions:
-        if other.id == solution_id or images_equal(other.objectives, fx):
-            continue
-        fy = other.objectives
-        if instance.sense == MAX:
-            d = (fy[0] - fx[0], fy[1] - fx[1])
-        else:
-            d = (fx[0] - fy[0], fx[1] - fy[1])
-        raw_lo, raw_hi = rotation_window(gamma, d)
-        lo = max(ambient[0], raw_lo)
-        hi = min(ambient[1], raw_hi)
-        if lo > hi:
-            continue
-        # A tie endpoint only survives if the tie rotation itself is inside
-        # the (shrunk) admissible range; a window clipped at the range
-        # boundary dominates strictly throughout.
-        keep_lo = halfplane and raw_lo >= ambient[0]
-        keep_hi = halfplane and raw_hi <= ambient[1]
-        good = good.subtract(lo, hi, keep_lo=keep_lo, keep_hi=keep_hi)
-        if good.is_empty():
-            break
-    return good
+    lo, hi, alive = _optimal_rotations(instance, gamma, [instance.index_of(solution_id)])
+    return PhiIntervalSet(ambient, (float(lo[0]), float(hi[0])) if alive[0] else None)
 
 
 def is_gamma_supported(instance: Instance, gamma: float, solution_id: str) -> bool:
@@ -76,7 +64,8 @@ def is_gamma_supported(instance: Instance, gamma: float, solution_id: str) -> bo
 
 def gamma_supported_set(instance: Instance, gamma: float) -> set[str]:
     """Ids of all solutions optimal for some cone of the given inner angle."""
-    return {s.id for s in instance.solutions if is_gamma_supported(instance, gamma, s.id)}
+    _, _, alive = _optimal_rotations(instance, gamma, slice(None))
+    return {s.id for s, keep in zip(instance.solutions, alive) if keep}
 
 
 def supported_set(instance: Instance) -> set[str]:

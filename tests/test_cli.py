@@ -101,6 +101,12 @@ class TestVerifyCommand:
     def test_unknown_ids_exit_two(self, example1_file):
         assert run(["verify", example1_file, "--set", "zz", "--alpha", "2"]) == 2
 
+    def test_inadmissible_cone_exit_one(self, example1_file, capsys):
+        rc = run(["verify", example1_file, "--set", "x1", "--alpha", "2", "--gamma", "0.25pi", "--phi", "0"])
+        assert rc == 1
+        assert "not admissible" in capsys.readouterr().err
+        assert run(["verify", example1_file, "--set", "x1", "--alpha", "2", "--gamma", "huh", "--phi", "0"]) == 1
+
     def test_gamma_without_phi_exit_two(self, example1_file):
         assert run(["verify", example1_file, "--set", "x1", "--alpha", "2", "--gamma", "pi"]) == 2
 
@@ -185,6 +191,13 @@ class TestSweepAndPlot:
              str(tmp_path / "m.csv")]
         )
         assert rc == 2
+
+    def test_maximization_family_message(self, tmp_path, capsys):
+        rc = run(["sweep", "--generator", "maximization:alpha=2", str(tmp_path / "m.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sweep requires a minimization family" in err
+        assert "inner angle" not in err
 
     def test_plot_bounds_only_rows(self, tmp_path):
         # Rows without empirical values still draw both factor curves.

@@ -1,4 +1,7 @@
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +166,23 @@ class TestKnapsackEnumeration:
         full = objs["s" + "1" * 5]
         assert full[0] == pytest.approx(base[0] + sum(c[0] for c in items), abs=1e-9)
         assert full[1] == pytest.approx(base[1] + sum(c[1] for c in items), abs=1e-9)
+
+    @pytest.mark.parametrize("k", [3, 6, 10])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_objectives_conflict(self, k, seed):
+        inst = gen.knapsack_enumeration(k, seed)
+        assert len(ca.efficient_set(inst)) > 1
+
+    def test_empirical_factors_script_exceeds_one(self, monkeypatch, capsys):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "empirical_factors.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--n", "8", "--k", "6", "--steps", "3"])
+        runpy.run_path(str(script), run_name="__main__")
+        lines = capsys.readouterr().out.strip().splitlines()
+        header = lines[0].split()
+        knapsack = [float(line.split()[header.index("knapsack")]) for line in lines[1:]]
+        bounds = [float(line.split()[header.index("bound")]) for line in lines[1:]]
+        assert max(knapsack) > 1.0
+        assert all(f <= b + 1e-9 for f, b in zip(knapsack, bounds))
 
     def test_limits(self):
         with pytest.raises(KTooLarge):

@@ -1,6 +1,14 @@
+"""The single-interval PhiIntervalSet, and the sequential subtraction kept
+as a reference oracle in reference_intervals (the subtract cases)."""
+
+import math
+
+import numpy as np
 import pytest
 
-from coneapprox.intervals import PhiIntervalSet
+from coneapprox.intervals import BLOCK_ELEMENTS, PhiIntervalSet, surviving_intervals
+from coneapprox.tolerances import TAU_ANGLE
+from reference_intervals import SequentialIntervalSet
 
 
 def test_full_and_empty():
@@ -12,7 +20,7 @@ def test_full_and_empty():
 
 
 def test_subtract_middle_splits():
-    s = PhiIntervalSet.full((0.0, 1.0)).subtract(0.4, 0.6)
+    s = SequentialIntervalSet.full((0.0, 1.0)).subtract(0.4, 0.6)
     assert s.intervals == ((0.0, 0.4), (0.6, 1.0))
     assert s.total_length() == pytest.approx(0.8)
     assert s.min_length() == pytest.approx(0.4)
@@ -20,29 +28,29 @@ def test_subtract_middle_splits():
 
 def test_subtract_edges_and_cover():
     amb = (0.0, 1.0)
-    assert PhiIntervalSet.full(amb).subtract(0.0, 0.25).intervals == ((0.25, 1.0),)
-    assert PhiIntervalSet.full(amb).subtract(0.75, 1.0).intervals == ((0.0, 0.75),)
-    assert PhiIntervalSet.full(amb).subtract(-1.0, 2.0).is_empty()
+    assert SequentialIntervalSet.full(amb).subtract(0.0, 0.25).intervals == ((0.25, 1.0),)
+    assert SequentialIntervalSet.full(amb).subtract(0.75, 1.0).intervals == ((0.0, 0.75),)
+    assert SequentialIntervalSet.full(amb).subtract(-1.0, 2.0).is_empty()
 
 
 def test_subtract_disjoint_is_noop():
-    s = PhiIntervalSet((0.0, 1.0), ((0.2, 0.4),))
+    s = SequentialIntervalSet((0.0, 1.0), ((0.2, 0.4),))
     assert s.subtract(0.5, 0.9) == s
     assert s.subtract(0.4, 0.9).intervals == ((0.2, 0.4),)  # touching endpoint only
 
 
 def test_measure_zero_subtrahend_is_invisible():
-    s = PhiIntervalSet.full((0.0, 1.0))
+    s = SequentialIntervalSet.full((0.0, 1.0))
     assert s.subtract(0.5, 0.5) == s
 
 
 def test_closed_subtraction_drops_osculation_point():
-    s = PhiIntervalSet.full((0.0, 1.0)).subtract(0.0, 0.5).subtract(0.5, 1.0)
+    s = SequentialIntervalSet.full((0.0, 1.0)).subtract(0.0, 0.5).subtract(0.5, 1.0)
     assert s.is_empty()
 
 
 def test_open_endpoint_survives_as_point():
-    s = PhiIntervalSet.full((0.0, 1.0))
+    s = SequentialIntervalSet.full((0.0, 1.0))
     s = s.subtract(0.0, 0.5, keep_hi=True)
     s = s.subtract(0.5, 1.0, keep_lo=True)
     assert s.intervals == ((0.5, 0.5),)
@@ -51,7 +59,7 @@ def test_open_endpoint_survives_as_point():
 
 
 def test_open_endpoint_removed_by_interior_cover():
-    s = PhiIntervalSet.full((0.0, 1.0))
+    s = SequentialIntervalSet.full((0.0, 1.0))
     s = s.subtract(0.0, 0.5, keep_hi=True)
     s = s.subtract(0.4, 1.0)
     assert s.is_empty()
@@ -59,7 +67,7 @@ def test_open_endpoint_removed_by_interior_cover():
 
 def test_degenerate_ambient():
     amb = (0.0, 0.0)
-    full = PhiIntervalSet.full(amb)
+    full = SequentialIntervalSet.full(amb)
     assert not full.is_empty()
     assert full.subtract(0.0, 0.0).is_empty()
     assert full.subtract(-0.5, 0.5).is_empty()
@@ -67,7 +75,7 @@ def test_degenerate_ambient():
 
 
 def test_contains_tolerance():
-    s = PhiIntervalSet((0.0, 1.0), ((0.2, 0.4),))
+    s = PhiIntervalSet((0.0, 1.0), (0.2, 0.4))
     assert s.contains(0.2)
     assert s.contains(0.4 + 5e-13)
     assert not s.contains(0.5)
@@ -75,3 +83,52 @@ def test_contains_tolerance():
 
 def test_min_length_empty_is_zero():
     assert PhiIntervalSet.empty((0.0, 1.0)).min_length() == 0.0
+
+
+# --- surviving_intervals: the single-interval kernel ----------------------------
+
+GAMMA = 0.75 * math.pi
+AMB = (0.0, 0.25 * math.pi)
+
+
+def kernel(rows, cols, gamma=GAMMA, ambient=AMB, keep_ties=False, coincide_covers=False):
+    lo, hi, alive = surviving_intervals(
+        np.array(rows, dtype=float), np.array(cols, dtype=float), gamma, ambient,
+        keep_ties=keep_ties, coincide_covers=coincide_covers,
+    )
+    return [(a, b) if k else None for a, b, k in zip(lo.tolist(), hi.tolist(), alive.tolist())]
+
+
+def test_prefix_and_suffix_windows_leave_one_interval():
+    # A difference at angle gamma - 0.05 blocks the prefix [0, 0.05], one at
+    # angle -0.6 the suffix [0.6, a1]; d = row - col, so cols hold -d.
+    cols = [(-math.cos(a), -math.sin(a)) for a in (GAMMA - 0.05, -0.6)]
+    (got,) = kernel([(0.0, 0.0)], cols)
+    assert got == pytest.approx((0.05, 0.6), abs=1e-15)
+
+
+def test_whole_range_window_and_coinciding_images():
+    # d = (1, 1) lies in every admissible cone: the whole range is blocked.
+    assert kernel([(2.0, 2.0)], [(1.0, 1.0)]) == [None]
+    # A coinciding image is skipped, or, for coverage, covers outright.
+    assert kernel([(1.0, 1.0)], [(1.0, 1.0)]) == [AMB]
+    assert kernel([(1.0, 1.0)], [(1.0, 1.0)], coincide_covers=True) == [None]
+
+
+def test_tie_endpoints_and_degenerate_range():
+    amb = (TAU_ANGLE, 0.5 * math.pi - TAU_ANGLE)
+    rows, cols = [(2.0, 2.0)], [(1.0, 3.0), (3.0, 1.0)]
+    assert kernel(rows, cols, math.pi, amb, keep_ties=True) == [(0.25 * math.pi, 0.25 * math.pi)]
+    assert kernel(rows, cols, math.pi, amb, keep_ties=False) == [None]
+    # At pi/2 only phi = 0 is admissible; any window through it removes it.
+    assert kernel([(2.0, 1.0)], [(1.0, 1.0), (3.0, 0.5)], 0.5 * math.pi, (0.0, 0.0)) == [None]
+    assert kernel([(2.0, 1.0)], [(3.0, 0.5)], 0.5 * math.pi, (0.0, 0.0)) == [(0.0, 0.0)]
+
+
+def test_blocks_match_one_pass():
+    rng = np.random.default_rng(0)
+    pts = rng.integers(1, 30, size=(600, 2)) / 4.0
+    whole = kernel(pts, pts, keep_ties=True)
+    assert len(pts) ** 2 > BLOCK_ELEMENTS
+    for i in (0, 57, 599):
+        assert kernel(pts[i : i + 1], pts, keep_ties=True) == whole[i : i + 1]
