@@ -9,10 +9,10 @@ curve: the family is built so the guarantee cannot be improved.
 """
 
 import argparse
-import csv
+import math
 from pathlib import Path
 
-from coneapprox.cli import SWEEP_HEADER, sweep_rows
+from coneapprox.cli import sweep_rows, write_sweep_csv
 from coneapprox.svg import render_sweep_svg
 
 
@@ -25,18 +25,11 @@ def main() -> None:
     args = parser.parse_args()
 
     spec = f"tightness:alpha={args.alpha},epsilon={args.epsilon}"
-    rows = sweep_rows(0.5 * 3.141592653589793, 3.141592653589793, args.steps, spec)
+    rows = sweep_rows(0.5 * math.pi, math.pi, args.steps, spec)
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     csv_path = args.outdir / "guarantee_sweep.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER.split(","))
-        for r in rows:
-            writer.writerow(
-                [repr(r["gamma"]), r["instance_id"], repr(r["empirical_alpha"]),
-                 repr(r["theory_bound"]), repr(r["rule_of_thumb"])]
-            )
+    write_sweep_csv(str(csv_path), rows)
     svg_path = args.outdir / "guarantee_sweep.svg"
     svg_path.write_text(render_sweep_svg(rows), encoding="utf-8")
 

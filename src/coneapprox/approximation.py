@@ -53,6 +53,12 @@ class ApproxReport:
         }
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise AlphaBelowOne unless alpha >= 1 (within TAU_VAL); NaN fails too."""
+    if not alpha >= 1.0 - TAU_VAL:
+        raise AlphaBelowOne(f"alpha must be >= 1, got {alpha!r}")
+
+
 def is_alpha_approx_pair(
     instance: Instance,
     params: ConeParams | None,
@@ -66,8 +72,7 @@ def is_alpha_approx_pair(
     alpha * f(by) weakly exceeds f(target).  params = None means the
     componentwise order.
     """
-    if alpha < 1.0 - TAU_VAL:
-        raise AlphaBelowOne(f"alpha must be >= 1, got {alpha!r}")
+    check_alpha(alpha)
     fb = instance.objectives_of(by)
     ft = instance.objectives_of(target)
     if instance.sense == MAX:
@@ -113,8 +118,7 @@ def verify_approx_set(
     params: ConeParams | None = None,
 ) -> ApproxReport:
     """Check that the selection covers every solution at factor alpha."""
-    if alpha < 1.0 - TAU_VAL:
-        raise AlphaBelowOne(f"alpha must be >= 1, got {alpha!r}")
+    check_alpha(alpha)
     sel = sorted(selection)
     if not sel:
         raise EmptySelection("verify_approx_set needs a nonempty selection")
@@ -157,8 +161,7 @@ def rotation_coverage_gaps(
     The selection is an alpha-approximation for every admissible rotation
     iff all gap sets are empty.
     """
-    if alpha < 1.0 - TAU_VAL:
-        raise AlphaBelowOne(f"alpha must be >= 1, got {alpha!r}")
+    check_alpha(alpha)
     sel = sorted(selection)
     if not sel:
         raise EmptySelection("rotation_coverage_gaps needs a nonempty selection")

@@ -2,8 +2,12 @@
 
 Subcommands: validate, sets, verify, generate, sweep, bounds, plot.
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
-0 success / claim holds, 1 semantic failure (invalid instance, violated
-claim, bad angle), 2 I/O, parse, or usage errors.
+0 success / claim holds; 1 semantic failure: an invalid instance, a violated
+claim, or an inner angle, rotation or factor outside its range
+(InadmissibleCone, AlphaBelowOne); 2 any other ConeApproxError (malformed
+file, unknown id, bad generator option, usage) or OSError.  main() alone
+maps errors to these codes; any other exception is a bug in the program and
+propagates with its traceback.
 
 Angles are accepted as radians ("2.35619") or as fractions of pi
 ("0.75pi"); the internal canonical form is radians.
@@ -26,34 +30,31 @@ import numpy as np
 from . import generators
 from .approximation import min_alpha, verify_approx_set
 from .bounds import BoundTable, guarantee_factor, rule_of_thumb
-from .errors import ConeApproxError, InstanceFormatError, UnknownId
+from .errors import AlphaBelowOne, ConeApproxError, InadmissibleCone, InstanceFormatError, InvalidParams
 from .geometry import ConeParams, admissible_range
-from .instances import (
-    Instance,
-    dump_instance,
-    instance_to_obj,
-    load_instance,
-    validate,
-)
-from .instances import efficient_set
+from .instances import Instance, dump_instance, efficient_set, instance_to_obj, load_instance, validate
 from .supportedness import gamma_supported_set, supported_set
 from .svg import render_sweep_svg
-from .tolerances import TAU_VAL
 
 SWEEP_HEADER = "gamma,instance_id,empirical_alpha,theory_bound,rule_of_thumb"
 
+# Errors that exit 1; every other ConeApproxError and every OSError exits 2.
+SEMANTIC_ERRORS = (InadmissibleCone, AlphaBelowOne)
+
 
 def parse_angle(text: str) -> float:
-    """Radians, or a multiple of pi written like '0.75pi'."""
+    """Radians, or a multiple of pi written like '0.75pi'.
+
+    Unparsable text raises InadmissibleCone, like an angle out of range.
+    """
     s = text.strip().lower()
-    if s.endswith("pi"):
-        head = s[:-2].strip()
-        return (float(head) if head else 1.0) * math.pi
-    return float(s)
-
-
-def _load(path: str) -> Instance:
-    return load_instance(path)
+    try:
+        if s.endswith("pi"):
+            head = s[:-2].strip()
+            return (float(head) if head else 1.0) * math.pi
+        return float(s)
+    except ValueError:
+        raise InadmissibleCone(f"cannot parse angle {text!r}") from None
 
 
 def _require_valid(instance: Instance) -> None:
@@ -65,15 +66,12 @@ def _require_valid(instance: Instance) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    instance = _load(args.path)
-    violations = validate(instance)
-    for v in violations:
-        print(v, file=sys.stderr)
-    return 0 if not violations else 1
+    _require_valid(load_instance(args.path))
+    return 0
 
 
 def cmd_sets(args: argparse.Namespace) -> int:
-    instance = _load(args.path)
+    instance = load_instance(args.path)
     _require_valid(instance)
     if args.mode == "efficient":
         ids = efficient_set(instance)
@@ -83,36 +81,19 @@ def cmd_sets(args: argparse.Namespace) -> int:
         if args.gamma is None:
             print("gamma-supported mode needs --gamma", file=sys.stderr)
             return 1
-        try:
-            gamma = parse_angle(args.gamma)
-            admissible_range(gamma)
-        except ValueError as exc:
-            print(f"bad inner angle {args.gamma!r}: {exc}", file=sys.stderr)
-            return 1
-        ids = gamma_supported_set(instance, gamma)
+        ids = gamma_supported_set(instance, parse_angle(args.gamma))
     print(json.dumps(sorted(ids)))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    instance = _load(args.path)
+    instance = load_instance(args.path)
     _require_valid(instance)
-    selection = [s for s in args.set.split(",") if s]
-    known = set(instance.ids())
-    unknown = [s for s in selection if s not in known]
-    if unknown:
-        print(f"unknown solution ids: {unknown}", file=sys.stderr)
-        return 2
-    params = None
     if (args.gamma is None) != (args.phi is None):
         print("--gamma and --phi must be given together", file=sys.stderr)
         return 2
-    if args.gamma is not None:
-        try:
-            params = ConeParams(parse_angle(args.gamma), parse_angle(args.phi))
-        except ValueError as exc:
-            print(f"bad cone angles: {exc}", file=sys.stderr)
-            return 1
+    params = None if args.gamma is None else ConeParams(parse_angle(args.gamma), parse_angle(args.phi))
+    selection = [s for s in args.set.split(",") if s]
     report = verify_approx_set(instance, selection, args.alpha, params)
     print(json.dumps(report.to_obj()))
     return 0 if report.is_valid else 1
@@ -142,7 +123,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def parse_generator_spec(spec: str) -> tuple[str, dict]:
-    """Parse 'family:key=value,key=value' into a family name and kwargs."""
+    """Parse 'family:key=value,key=value' into a family name and kwargs.
+
+    A malformed option or value raises InvalidParams.
+    """
     family, _, tail = spec.partition(":")
     family = family.strip()
     kwargs: dict = {}
@@ -150,24 +134,39 @@ def parse_generator_spec(spec: str) -> tuple[str, dict]:
         for piece in tail.split(","):
             key, sep, value = piece.partition("=")
             if not sep:
-                raise ValueError(f"bad generator option {piece!r}")
+                raise InvalidParams(f"bad generator option {piece!r}")
             key = key.strip()
-            if key in ("n", "k", "seed"):
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = float(value)
+            try:
+                kwargs[key] = int(value) if key in ("n", "k", "seed") else float(value)
+            except ValueError as exc:
+                raise InvalidParams(f"bad generator option {piece!r}: {exc}") from None
     return family, kwargs
+
+
+def _inner_angles(gamma_from: float, gamma_to: float, steps: int) -> list[float]:
+    """`steps` evenly spaced inner angles from gamma_from to gamma_to.
+
+    Raises InadmissibleCone unless both ends pass admissible_range,
+    gamma_from <= gamma_to and steps >= 1.
+    """
+    admissible_range(gamma_from)
+    admissible_range(gamma_to)
+    if not gamma_from <= gamma_to or steps < 1:
+        raise InadmissibleCone(
+            f"need pi/2 <= from <= to <= pi and steps >= 1, got {gamma_from!r}, {gamma_to!r}, {steps!r}"
+        )
+    return [float(g) for g in np.linspace(gamma_from, gamma_to, steps)]
 
 
 def sweep_rows(gamma_from: float, gamma_to: float, steps: int, spec: str) -> list[dict]:
     """One row per inner angle: empirical factor of the supported-style set
     against the guarantee and the rule of thumb."""
+    gammas = _inner_angles(gamma_from, gamma_to, steps)
     family, kwargs = parse_generator_spec(spec)
     if family in generators.MAXIMIZATION_FAMILIES:
         raise ConeApproxError("sweep requires a minimization family")
     rows = []
-    for gamma in np.linspace(gamma_from, gamma_to, steps):
-        gamma = float(gamma)
+    for gamma in gammas:
         instance = generators.make_family_instance(family, gamma=gamma, **kwargs)
         supported = gamma_supported_set(instance, gamma)
         rows.append(
@@ -183,84 +182,65 @@ def sweep_rows(gamma_from: float, gamma_to: float, steps: int, spec: str) -> lis
     return rows
 
 
+def write_sweep_csv(path: str, rows: list[dict]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SWEEP_HEADER.split(","))
+        for r in rows:
+            writer.writerow(
+                [repr(r["gamma"]), r["instance_id"], repr(r["empirical_alpha"]),
+                 repr(r["theory_bound"]), repr(r["rule_of_thumb"])]
+            )
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    gamma_from = parse_angle(args.gamma_from)
-    gamma_to = parse_angle(args.gamma_to)
-    if not (0.5 * math.pi - 1e-12 <= gamma_from <= gamma_to <= math.pi + 1e-12) or args.steps < 1:
-        print("need pi/2 <= from <= to <= pi and steps >= 1", file=sys.stderr)
-        return 1
-    rows = sweep_rows(gamma_from, gamma_to, args.steps, args.generator)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_HEADER.split(","))
-            for r in rows:
-                writer.writerow(
-                    [
-                        repr(r["gamma"]),
-                        r["instance_id"],
-                        repr(r["empirical_alpha"]),
-                        repr(r["theory_bound"]),
-                        repr(r["rule_of_thumb"]),
-                    ]
-                )
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+    rows = sweep_rows(parse_angle(args.gamma_from), parse_angle(args.gamma_to), args.steps, args.generator)
+    write_sweep_csv(args.out, rows)
     return 0
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    gamma_from = parse_angle(args.gamma_from)
-    gamma_to = parse_angle(args.gamma_to)
-    lines = [BoundTable.CSV_HEADER]
-    for gamma in np.linspace(gamma_from, gamma_to, args.steps):
-        lines.append(BoundTable.at(float(gamma)).csv_row())
+    gammas = _inner_angles(parse_angle(args.gamma_from), parse_angle(args.gamma_to), args.steps)
+    lines = [BoundTable.CSV_HEADER] + [BoundTable.at(gamma).csv_row() for gamma in gammas]
     text = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
 
 
 def read_sweep_csv(path: str) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = SWEEP_HEADER.split(",")
-        if reader.fieldnames != expected:
-            raise InstanceFormatError(f"sweep CSV must have header {SWEEP_HEADER!r}")
-        rows = []
-        for raw in reader:
-            try:
-                rows.append(
-                    {
-                        "gamma": float(raw["gamma"]),
-                        "instance_id": raw["instance_id"],
-                        "empirical_alpha": float(raw["empirical_alpha"]) if raw["empirical_alpha"] else math.nan,
-                        "theory_bound": float(raw["theory_bound"]),
-                        "rule_of_thumb": float(raw["rule_of_thumb"]),
-                    }
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InstanceFormatError(f"bad sweep CSV row {raw!r}: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            header, raw_rows = reader.fieldnames, list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InstanceFormatError(f"sweep CSV {path!r} is not readable as UTF-8 CSV: {exc}") from exc
+    if header != SWEEP_HEADER.split(","):
+        raise InstanceFormatError(f"sweep CSV must have header {SWEEP_HEADER!r}")
+    rows = []
+    for raw in raw_rows:
+        try:
+            rows.append(
+                {
+                    "gamma": float(raw["gamma"]),
+                    "instance_id": raw["instance_id"],
+                    "empirical_alpha": float(raw["empirical_alpha"]) if raw["empirical_alpha"] else math.nan,
+                    "theory_bound": float(raw["theory_bound"]),
+                    "rule_of_thumb": float(raw["rule_of_thumb"]),
+                }
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InstanceFormatError(f"bad sweep CSV row {raw!r}: {exc}") from exc
     return rows
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    rows = read_sweep_csv(args.csv)
-    text = render_sweep_svg(rows)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+    text = render_sweep_svg(read_sweep_csv(args.csv))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
     return 0
 
 
@@ -330,18 +310,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (InstanceFormatError, FileNotFoundError, IsADirectoryError, PermissionError, json.JSONDecodeError) as exc:
+    except (ConeApproxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownId as exc:
-        print(f"unknown solution id: {exc}", file=sys.stderr)
-        return 2
-    except ConeApproxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, SEMANTIC_ERRORS) else 2
 
 
 if __name__ == "__main__":

@@ -20,6 +20,10 @@ class ZeroDirection(ConeApproxError, ValueError):
 class UnknownId(ConeApproxError, KeyError):
     """A solution id does not occur in the instance."""
 
+    def __str__(self) -> str:
+        # KeyError's own str() is only the quoted id.
+        return f"unknown solution id {self.args[0]!r}"
+
 
 class UnsupportedSense(ConeApproxError, ValueError):
     """The operation is defined for one optimization sense only."""

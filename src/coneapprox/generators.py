@@ -23,6 +23,7 @@ that trade selected cost against unselected value.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -65,7 +66,7 @@ def every_rotation_trap(alpha: float, gamma: float) -> Instance:
     x1 = (alpha + 1, 1), x2 = (1, (-cos g / sin g) * (alpha + 1) + 1).
     Needs gamma strictly between pi/2 and pi.
     """
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise InvalidParams(f"alpha must be >= 1, got {alpha!r}")
     if not (HALF_PI + TAU_ANGLE < gamma < math.pi - TAU_ANGLE):
         raise InvalidParams(f"inner angle {gamma!r} outside (pi/2, pi)")
@@ -88,7 +89,7 @@ def tightness_instance(alpha: float, gamma: float, epsilon: float) -> Instance:
     of the inner angle, but is not an
     (alpha*(1 + t) - epsilon)-approximation componentwise.
     """
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise InvalidParams(f"alpha must be >= 1, got {alpha!r}")
     if not (HALF_PI - TAU_ANGLE <= gamma <= math.pi + TAU_ANGLE):
         raise InvalidParams(f"inner angle {gamma!r} outside [pi/2, pi]")
@@ -116,7 +117,7 @@ def maximization_trap(alpha: float, gamma: float) -> Instance:
     optimal for no admissible rotation, and {x1, x2} is not an
     alpha-approximation.  Needs gamma > pi/2 (t > 0).
     """
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise InvalidParams(f"alpha must be >= 1, got {alpha!r}")
     if not (HALF_PI + TAU_ANGLE < gamma <= math.pi + TAU_ANGLE):
         raise InvalidParams(f"inner angle {gamma!r} outside (pi/2, pi]")
@@ -235,7 +236,11 @@ MAXIMIZATION_FAMILIES = {"maximization"}
 
 
 def make_family_instance(family: str, gamma: float | None = None, **kwargs) -> Instance:
-    """Instantiate a named family; gamma-dependent families require gamma."""
+    """Instantiate a named family; gamma-dependent families require gamma.
+
+    Raises InvalidParams for an unknown family and for a parameter the
+    family's constructor lacks or requires but was not given.
+    """
     if family not in FAMILIES:
         raise InvalidParams(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
     if family in GAMMA_FAMILIES:
@@ -244,4 +249,9 @@ def make_family_instance(family: str, gamma: float | None = None, **kwargs) -> I
         kwargs = dict(kwargs, gamma=gamma)
     if family in ("convex", "concave", "mixed"):
         kwargs = dict(kwargs, shape=family)
-    return FAMILIES[family](**kwargs)
+    build = FAMILIES[family]
+    try:
+        inspect.signature(build).bind(**kwargs)
+    except TypeError as exc:
+        raise InvalidParams(f"family {family!r}: {exc}") from None
+    return build(**kwargs)

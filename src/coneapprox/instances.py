@@ -56,8 +56,8 @@ class Instance:
         return self.solutions[self.index_of(solution_id)].objectives
 
     def objective_array(self) -> np.ndarray:
-        """Images as a float array of shape (n, 2), in solution order."""
-        return np.array([s.objectives for s in self.solutions], dtype=float)
+        """Images as a float array of shape (n, 2), in solution order (also for n = 0)."""
+        return np.array([s.objectives for s in self.solutions], dtype=float).reshape(len(self.solutions), 2)
 
     def index_of(self, solution_id: str) -> int:
         try:
@@ -233,7 +233,10 @@ def instance_from_obj(obj: object) -> Instance:
             raise InstanceFormatError("solution ids must be strings")
         if not (isinstance(f, list) and len(f) == 2 and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in f)):
             raise InstanceFormatError("'f' must be an array of two numbers")
-        sols.append(Solution(sid, (float(f[0]), float(f[1]))))
+        try:
+            sols.append(Solution(sid, (float(f[0]), float(f[1]))))
+        except OverflowError:
+            raise InstanceFormatError(f"objective of {sid!r} is too large for a float") from None
     return Instance(sense, tuple(sols))
 
 
@@ -241,7 +244,9 @@ def load_instance(path: str | Path) -> Instance:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            raise InstanceFormatError(f"not UTF-8 text: {exc}") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     return instance_from_obj(obj)
 

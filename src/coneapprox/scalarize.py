@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .approximation import check_alpha
 from .errors import (
-    AlphaBelowOne,
     DegeneratePhi,
     InadmissibleCone,
     InvalidRatio,
@@ -55,14 +55,17 @@ class MaxOrderingWeights:
     w2: float
 
     def __post_init__(self) -> None:
-        if not (self.w1 > 0.0 and self.w2 > 0.0 and math.isfinite(self.w1) and math.isfinite(self.w2)):
-            raise NonpositiveWeight(f"weights must be finite and > 0, got ({self.w1!r}, {self.w2!r})")
+        _check_weights(self.w1, self.w2)
+
+
+def _check_weights(w1: float, w2: float) -> None:
+    if not (w1 > 0.0 and w2 > 0.0 and math.isfinite(w1) and math.isfinite(w2)):
+        raise NonpositiveWeight(f"weights must be finite and > 0, got ({w1!r}, {w2!r})")
 
 
 def weighted_sum_optima(instance: Instance, w1: float, w2: float) -> set[str]:
     """Argmin (argmax for maximization) set of w1*f1 + w2*f2, ties within TAU_VAL."""
-    if not (w1 > 0.0 and w2 > 0.0):
-        raise NonpositiveWeight(f"weights must be > 0, got ({w1!r}, {w2!r})")
+    _check_weights(w1, w2)
     arr = instance.objective_array()
     vals = w1 * arr[:, 0] + w2 * arr[:, 1]
     best = vals.max() if instance.sense == MAX else vals.min()
@@ -87,8 +90,7 @@ def alpha_approximate_for_max_ordering(
     instance: Instance, weights: MaxOrderingWeights, alpha: float
 ) -> set[str]:
     """Solutions whose scalarized value is within factor alpha of the optimum."""
-    if alpha < 1.0 - TAU_VAL:
-        raise AlphaBelowOne(f"alpha must be >= 1, got {alpha!r}")
+    check_alpha(alpha)
     vals = _max_ordering_values(instance, weights)
     best = vals.min()
     return {s.id for s, v in zip(instance.solutions, vals) if v <= alpha * best + TAU_VAL}
@@ -152,8 +154,7 @@ def build_cover_set(instance: Instance, gamma: float, alpha: float = 1.0) -> set
     """
     if instance.sense != MIN:
         raise UnsupportedSense("build_cover_set is defined for minimization instances")
-    if alpha < 1.0 - TAU_VAL:
-        raise AlphaBelowOne(f"alpha must be >= 1, got {alpha!r}")
+    check_alpha(alpha)
     arr = instance.objective_array()
     ids = instance.ids()
     ratios = sorted({float(r) for r in arr[:, 0] / arr[:, 1]})

@@ -49,6 +49,20 @@ class TestPairPredicate:
             ca.is_alpha_approx_pair(inst, None, "zz", "x1", 1.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda inst: ca.is_alpha_approx_pair(inst, None, "x1", "x2", math.nan),
+        lambda inst: ca.verify_approx_set(inst, {"x1"}, math.nan),
+        lambda inst: ca.rotation_coverage_gaps(inst, {"x1"}, 0.75 * PI, math.nan),
+    ],
+    ids=["is_alpha_approx_pair", "verify_approx_set", "rotation_coverage_gaps"],
+)
+def test_nan_alpha_rejected(call):
+    with pytest.raises(AlphaBelowOne):
+        call(example1_instance())
+
+
 class TestVerifyApproxSet:
     def test_whole_set_is_valid(self):
         inst = random_min_instance(0, 15)

@@ -1,11 +1,16 @@
 import json
 import math
 import re
+import runpy
+import sys
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 import coneapprox as ca
-from coneapprox.cli import main, parse_angle, parse_generator_spec, read_sweep_csv
+from coneapprox.cli import SWEEP_HEADER, main, parse_angle, parse_generator_spec, read_sweep_csv
+from coneapprox.errors import InadmissibleCone, InvalidParams
 from coneapprox.svg import svg_to_data
 
 PI = math.pi
@@ -100,6 +105,10 @@ class TestVerifyCommand:
 
     def test_unknown_ids_exit_two(self, example1_file):
         assert run(["verify", example1_file, "--set", "zz", "--alpha", "2"]) == 2
+
+    def test_unknown_id_message(self, example1_file, capsys):
+        assert run(["verify", example1_file, "--set", "x1,zz", "--alpha", "2"]) == 2
+        assert "unknown solution id 'zz'" in capsys.readouterr().err
 
     def test_inadmissible_cone_exit_one(self, example1_file, capsys):
         rc = run(["verify", example1_file, "--set", "x1", "--alpha", "2", "--gamma", "0.25pi", "--phi", "0"])
@@ -263,3 +272,105 @@ class TestGeneratorSpec:
     def test_bad_option(self):
         with pytest.raises(ValueError):
             parse_generator_spec("convex:n")
+
+    def test_bad_value_is_invalid_params(self):
+        with pytest.raises(InvalidParams):
+            parse_generator_spec("convex:n=three")
+
+
+def test_unparsable_angle_is_inadmissible_cone():
+    with pytest.raises(InadmissibleCone):
+        parse_angle("huh")
+
+
+# One case per subcommand and exit code: 0 ok, 1 semantic failure (only for
+# commands that have one), 2 I/O, parse or usage error.
+EXIT_CONTRACT = [
+    ("validate {inst}", 0),
+    ("validate {bad_inst}", 1),
+    ("validate {missing}", 2),
+    ("sets {inst} --mode efficient", 0),
+    ("sets {inst} --mode gamma-supported --gamma 0.3pi", 1),
+    ("sets {missing} --mode efficient", 2),
+    ("verify {inst} --set x2 --alpha 2", 0),
+    ("verify {inst} --set x1 --alpha 0.5", 1),
+    ("verify {inst} --set zz --alpha 2", 2),
+    ("generate convex --n 3 -o {out_json}", 0),
+    ("generate tightness --alpha 2 --gamma huh --epsilon 0.1", 1),
+    ("generate tightness --alpha 2 --gamma 0.75pi", 2),
+    ("sweep --steps 2 --generator convex:n=3,seed=0 {out_csv}", 0),
+    ("sweep --gamma-from 0.75pi --gamma-to pi --steps 0 --generator convex:n=3,seed=0 {out_csv}", 1),
+    ("sweep --steps 2 --generator nope {out_csv}", 2),
+    ("bounds --steps 3", 0),
+    ("bounds --gamma-to 1.5pi", 1),
+    ("bounds --steps 3 -o {unwritable}", 2),
+    ("plot {sweep_csv} {out_svg}", 0),
+    ("plot {inst} {out_svg}", 2),
+]
+
+
+@pytest.mark.parametrize("template,code", EXIT_CONTRACT, ids=[f"{t.split()[0]}-{c}" for t, c in EXIT_CONTRACT])
+def test_exit_code_contract(template, code, tmp_path, example1_file):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"sense": "min", "solutions": [{"id": "a", "f": [1, -2]}]}')
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_text(f"{SWEEP_HEADER}\n{PI!r},bounds,,2.0,2.0\n")
+    paths = {
+        "inst": example1_file,
+        "bad_inst": bad,
+        "missing": tmp_path / "missing.json",
+        "out_json": tmp_path / "out.json",
+        "out_csv": tmp_path / "out.csv",
+        "out_svg": tmp_path / "out.svg",
+        "unwritable": tmp_path / "no" / "dir" / "x.csv",
+        "sweep_csv": sweep_csv,
+    }
+    assert run(template.format(**paths).split()) == code
+
+
+@pytest.mark.parametrize("exc", [TypeError, ValueError])
+def test_program_errors_propagate(exc, example1_file, monkeypatch):
+    def broken(instance):
+        raise exc("a bug, not a usage error")
+
+    monkeypatch.setattr("coneapprox.cli.efficient_set", broken)
+    with pytest.raises(exc, match="a bug"):
+        main(["sets", example1_file, "--mode", "efficient"])
+
+
+def test_non_utf8_inputs_exit_two(tmp_path, capsys):
+    inst = tmp_path / "latin1.json"
+    inst.write_bytes('{"sense": "min", "solutions": [{"id": "\xe9", "f": [1, 2]}]}'.encode("latin-1"))
+    assert run(["validate", str(inst)]) == 2
+    sweep_csv = tmp_path / "latin1.csv"
+    sweep_csv.write_bytes(f"{SWEEP_HEADER}\n{PI!r},\xe9,,2.0,2.0\n".encode("latin-1"))
+    assert run(["plot", str(sweep_csv), str(tmp_path / "o.svg")]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_bounds_out_of_range_prints_no_rows(capsys):
+    assert run(["bounds", "--gamma-from", "0.3pi"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "inner angle" in err
+
+
+def test_nan_alpha(example1_file, tmp_path, capsys):
+    assert run(["verify", example1_file, "--set", "x1", "--alpha", "nan"]) == 1
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "t.json"
+    rc = run(["generate", "tightness", "--alpha", "nan", "--gamma", "0.75pi", "--epsilon", "0.1", "-o", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_guarantee_figure_script(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "guarantee_figure.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--steps", "3", "--outdir", str(tmp_path)])
+    runpy.run_path(str(script), run_name="__main__")
+    rows = read_sweep_csv(str(tmp_path / "guarantee_sweep.csv"))
+    assert len(rows) == 3
+    assert all(r["empirical_alpha"] <= r["theory_bound"] + ca.TAU_VAL for r in rows)
+    svg = ET.parse(tmp_path / "guarantee_sweep.svg").getroot()
+    assert svg.tag == "{http://www.w3.org/2000/svg}svg"
+    assert "largest gap" in capsys.readouterr().out

@@ -101,6 +101,20 @@ class TestMaximizationTrap:
             gen.maximization_trap(1.0, PI / 2)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gen.every_rotation_trap(math.nan, 0.75 * PI),
+        lambda: gen.tightness_instance(math.nan, 0.75 * PI, 0.1),
+        lambda: gen.maximization_trap(math.nan, 0.75 * PI),
+    ],
+    ids=["every_rotation_trap", "tightness_instance", "maximization_trap"],
+)
+def test_nan_alpha_rejected(build):
+    with pytest.raises(InvalidParams):
+        build()
+
+
 class TestRandomFront:
     def test_convex_all_supported(self):
         for n in (1, 2, 8, 30):
@@ -203,3 +217,9 @@ class TestFamilyRegistry:
     def test_unknown_family(self):
         with pytest.raises(InvalidParams):
             gen.make_family_instance("nope")
+
+    def test_missing_or_unknown_parameter(self):
+        with pytest.raises(InvalidParams, match="epsilon"):
+            gen.make_family_instance("tightness", gamma=0.75 * PI, alpha=2.0)
+        with pytest.raises(InvalidParams, match="alpha"):
+            gen.make_family_instance("convex", n=3, seed=0, alpha=2.0)

@@ -82,6 +82,16 @@ class TestEfficientSet:
         inst = ca.make_instance("max", [("a", 1, 3), ("b", 3, 1), ("c", 0.5, 0.5)])
         assert ca.efficient_set(inst) == {"a", "b"}
 
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_empty_instance(self, sense):
+        inst = ca.make_instance(sense, [])
+        assert inst.objective_array().shape == (0, 2)
+        assert ca.efficient_set(inst) == set()
+        assert ca.cone_efficient_set(inst, ca.ConeParams(0.75 * PI, 0.1)) == set()
+        assert ca.gamma_supported_set(inst, 0.75 * PI) == set()
+        if sense == "min":
+            assert ca.build_cover_set(inst, 0.75 * PI) == set()
+
     @given(min_instances(max_size=12))
     def test_matches_brute_force(self, inst):
         assert ca.efficient_set(inst) == brute_efficient(inst)
@@ -197,6 +207,17 @@ class TestJsonFormat:
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
+        with pytest.raises(InstanceFormatError):
+            ca.load_instance(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"sense": "min", "solutions": [{"id": "a", "f": [1%s, 1]}]}' % ("0" * 400), "[" * 100000 + "]" * 100000],
+        ids=["int-too-large-for-float", "nested-too-deep"],
+    )
+    def test_unreadable_values_rejected(self, tmp_path, text):
+        path = tmp_path / "odd.json"
+        path.write_text(text)
         with pytest.raises(InstanceFormatError):
             ca.load_instance(path)
 

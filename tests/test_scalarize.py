@@ -42,6 +42,12 @@ class TestWeightedSum:
         with pytest.raises(NonpositiveWeight):
             ca.weighted_sum_optima(inst, 0.0, 1.0)
 
+    @pytest.mark.parametrize("w", [math.inf, math.nan])
+    def test_nonfinite_weight(self, w):
+        inst = ca.make_instance("min", [("x1", 1, 1)])
+        with pytest.raises(NonpositiveWeight):
+            ca.weighted_sum_optima(inst, w, 1.0)
+
     @given(min_instances(), st.tuples(lattice_floats(0.1, 5.0), lattice_floats(0.1, 5.0)))
     def test_optima_are_efficient(self, inst, w):
         eff = ca.efficient_set(inst)
@@ -100,6 +106,11 @@ class TestAlphaApproximateLevelSet:
         inst = ca.make_instance("min", [("x1", 1, 1)])
         with pytest.raises(AlphaBelowOne):
             ca.alpha_approximate_for_max_ordering(inst, ca.MaxOrderingWeights(1, 1), 0.5)
+
+    def test_nan_alpha_rejected(self):
+        inst = ca.make_instance("min", [("x1", 1, 1)])
+        with pytest.raises(AlphaBelowOne):
+            ca.alpha_approximate_for_max_ordering(inst, ca.MaxOrderingWeights(1, 1), math.nan)
 
 
 class TestBalancedWeights:
@@ -209,6 +220,11 @@ class TestBuildCoverSet:
         inst = ca.make_instance("max", [("a", 1, 1)])
         with pytest.raises(UnsupportedSense):
             ca.build_cover_set(inst, PI, 1.0)
+
+    def test_nan_alpha_rejected(self):
+        inst = ca.make_instance("min", [("x1", 1, 2), ("x2", 2, 1)])
+        with pytest.raises(AlphaBelowOne):
+            ca.build_cover_set(inst, 0.75 * PI, math.nan)
 
     def test_deterministic(self):
         inst = random_min_instance(3, 25)
