@@ -1,17 +1,20 @@
 """Multiplicative approximation predicates and exact minimal factors.
 
-A solution x covers a target x' at factor alpha (minimization) when
-f(x) precedes alpha * f(x') in the chosen order: componentwise when no cone
-is given, otherwise the cone order.  Because all (transformed) objectives
-are strictly positive, the smallest factor at which x covers x' is the
-largest componentwise ratio of the (transformed) images, so the exact
-minimal factor of a whole selection is a max-min-max expression over those
-ratios.  Maximization mirrors with reciprocal ratios: x covers x' when
-alpha * f(x) weakly exceeds f(x').
+A candidate c covers a target t at factor alpha when f(c) precedes
+alpha * f(t) in the chosen order (minimization) or alpha * f(c) weakly
+exceeds f(t) (maximization): componentwise when no cone is given, otherwise
+the cone order.  The factor paths work on Instance.min_images(), where
+maximization images are negated; negation mirrors the order but cannot move
+a factor, which therefore scales the target when minimizing and the
+candidate when maximizing.  _scaled_first() alone makes that choice.
+Because all (transformed) objectives are strictly positive, the smallest
+factor at which c covers t is the largest componentwise ratio of the
+unscaled to the scaled (transformed) image, so the exact minimal factor of a
+whole selection is a max-min-max expression over those ratios.
 
 rotation_coverage_gaps() decides "covered at every admissible rotation"
 exactly, with the same single-interval kernel as supportedness: at fixed
-alpha, the rotations at which x covers x' form one closed window, and what
+alpha, the rotations at which c covers t form one closed window, and what
 the windows of a whole selection leave uncovered is again one interval,
 found in one vectorized O(|selection|) pass per solution.
 """
@@ -54,9 +57,23 @@ class ApproxReport:
 
 
 def check_alpha(alpha: float) -> None:
-    """Raise AlphaBelowOne unless alpha >= 1 (within TAU_VAL); NaN fails too."""
-    if not alpha >= 1.0 - TAU_VAL:
-        raise AlphaBelowOne(f"alpha must be >= 1, got {alpha!r}")
+    """Raise AlphaBelowOne unless alpha is finite and >= 1 (within TAU_VAL)."""
+    if not (math.isfinite(alpha) and alpha >= 1.0 - TAU_VAL):
+        raise AlphaBelowOne(f"alpha must be finite and >= 1, got {alpha!r}")
+
+
+def _scaled_first(instance: Instance, target: np.ndarray, candidate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A target side and a candidate side in minimization images, reordered as
+    (scaled, unscaled): the side a covering factor multiplies comes first.
+
+    c covers t at factor alpha when alpha * t - c (minimizing) or
+    t - alpha * c (maximizing) lies in the cone, so the smallest covering
+    factor per component is unscaled / scaled; for maximization that is
+    (-f(t)) / (-f(c)), which equals f(t) / f(c) bit for bit.  The reordering
+    is its own inverse: applied to (alpha * scaled, unscaled) it gives back
+    (target side, candidate side), whose difference must lie in the cone.
+    """
+    return (candidate, target) if instance.sense == MAX else (target, candidate)
 
 
 def is_alpha_approx_pair(
@@ -73,29 +90,22 @@ def is_alpha_approx_pair(
     componentwise order.
     """
     check_alpha(alpha)
-    fb = instance.objectives_of(by)
-    ft = instance.objectives_of(target)
-    if instance.sense == MAX:
-        d = (alpha * fb[0] - ft[0], alpha * fb[1] - ft[1])
-    else:
-        d = (alpha * ft[0] - fb[0], alpha * ft[1] - fb[1])
+    images = instance.min_images()
+    candidate = images[instance.index_of(by)]
+    scaled, unscaled = _scaled_first(instance, images[instance.index_of(target)], candidate)
+    target_side, candidate_side = _scaled_first(instance, alpha * scaled, unscaled)
+    d1, d2 = (target_side - candidate_side).tolist()
     if params is None:
-        return d[0] >= -TAU_VAL and d[1] >= -TAU_VAL
-    return cone_contains(params, d)
+        return d1 >= -TAU_VAL and d2 >= -TAU_VAL
+    return cone_contains(params, (d1, d2))
 
 
 def _pairwise_factors(instance: Instance, selection: list[str], params: ConeParams | None) -> np.ndarray:
     """Matrix of smallest covering factors, selection rows by instance columns."""
-    arr = instance.objective_array()
-    if params is not None:
-        arr = arr @ np.array(params.matrix(), dtype=float).T
-    rows = [instance.index_of(s) for s in selection]
-    sel = arr[rows]
-    if instance.sense == MAX:
-        ratios = arr[np.newaxis, :, :] / sel[:, np.newaxis, :]
-    else:
-        ratios = sel[:, np.newaxis, :] / arr[np.newaxis, :, :]
-    return ratios.max(axis=2)
+    images = instance.min_images(params)
+    chosen = images[[instance.index_of(s) for s in selection]]
+    scaled, unscaled = _scaled_first(instance, images[np.newaxis, :, :], chosen[:, np.newaxis, :])
+    return (unscaled / scaled).max(axis=2)
 
 
 def min_alpha(instance: Instance, selection: set[str] | list[str], params: ConeParams | None = None) -> float:
@@ -154,10 +164,11 @@ def rotation_coverage_gaps(
 ) -> dict[str, PhiIntervalSet]:
     """Per solution, the admissible rotations at which nothing covers it.
 
-    For each candidate s and target x (minimization), s covers x at exactly
-    the rotations whose cone contains alpha * f(x) - f(s); these closed
-    windows are removed from the admissible range, and a candidate whose
-    scaled image coincides with the target's covers it at every rotation.
+    For each candidate s and target x, s covers x at exactly the rotations
+    whose cone contains alpha * f(x) - f(s) (minimization) or
+    alpha * f(s) - f(x) (maximization); these closed windows are removed
+    from the admissible range, and a candidate whose scaled image coincides
+    with the target's covers it at every rotation.
     The selection is an alpha-approximation for every admissible rotation
     iff all gap sets are empty.
     """
@@ -166,12 +177,9 @@ def rotation_coverage_gaps(
     if not sel:
         raise EmptySelection("rotation_coverage_gaps needs a nonempty selection")
     ambient = admissible_range(gamma)
-    targets = instance.objective_array()
-    chosen = targets[[instance.index_of(s) for s in sel]]
-    if instance.sense == MAX:
-        rows, cols = -targets, -(alpha * chosen)
-    else:
-        rows, cols = alpha * targets, chosen
+    images = instance.min_images()
+    scaled, unscaled = _scaled_first(instance, images, images[[instance.index_of(s) for s in sel]])
+    rows, cols = _scaled_first(instance, alpha * scaled, unscaled)
     lo, hi, alive = surviving_intervals(rows, cols, gamma, ambient, keep_ties=False, coincide_covers=True)
     return {
         s.id: PhiIntervalSet(ambient, (a, b) if keep else None)

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParams, KTooLarge
-from .geometry import HALF_PI, admissible
+from .geometry import HALF_PI, admissible, admissible_range
 from .instances import MAX, MIN, Instance, Solution
 from .tolerances import TAU_ANGLE
 
@@ -43,8 +43,8 @@ def single_cone_trap(alpha: float, gamma: float, phi: float) -> Instance:
     the instance while {x2} is.  Needs alpha > 1 and a rotation in
     (0, gamma - pi/2] excluding pi/2 so both second components are positive.
     """
-    if not alpha > 1.0:
-        raise InvalidParams(f"alpha must be > 1, got {alpha!r}")
+    if not 1.0 < alpha < math.inf:
+        raise InvalidParams(f"alpha must be finite and > 1, got {alpha!r}")
     if not (HALF_PI < gamma <= math.pi + TAU_ANGLE):
         raise InvalidParams(f"inner angle {gamma!r} outside (pi/2, pi]")
     if phi <= 0.0 or not admissible(gamma, phi):
@@ -66,8 +66,8 @@ def every_rotation_trap(alpha: float, gamma: float) -> Instance:
     x1 = (alpha + 1, 1), x2 = (1, (-cos g / sin g) * (alpha + 1) + 1).
     Needs gamma strictly between pi/2 and pi.
     """
-    if not alpha >= 1.0:
-        raise InvalidParams(f"alpha must be >= 1, got {alpha!r}")
+    if not 1.0 <= alpha < math.inf:
+        raise InvalidParams(f"alpha must be finite and >= 1, got {alpha!r}")
     if not (HALF_PI + TAU_ANGLE < gamma < math.pi - TAU_ANGLE):
         raise InvalidParams(f"inner angle {gamma!r} outside (pi/2, pi)")
     slope = -math.cos(gamma) / math.sin(gamma)
@@ -89,8 +89,8 @@ def tightness_instance(alpha: float, gamma: float, epsilon: float) -> Instance:
     of the inner angle, but is not an
     (alpha*(1 + t) - epsilon)-approximation componentwise.
     """
-    if not alpha >= 1.0:
-        raise InvalidParams(f"alpha must be >= 1, got {alpha!r}")
+    if not 1.0 <= alpha < math.inf:
+        raise InvalidParams(f"alpha must be finite and >= 1, got {alpha!r}")
     if not (HALF_PI - TAU_ANGLE <= gamma <= math.pi + TAU_ANGLE):
         raise InvalidParams(f"inner angle {gamma!r} outside [pi/2, pi]")
     if not epsilon > 0.0:
@@ -117,8 +117,8 @@ def maximization_trap(alpha: float, gamma: float) -> Instance:
     optimal for no admissible rotation, and {x1, x2} is not an
     alpha-approximation.  Needs gamma > pi/2 (t > 0).
     """
-    if not alpha >= 1.0:
-        raise InvalidParams(f"alpha must be >= 1, got {alpha!r}")
+    if not 1.0 <= alpha < math.inf:
+        raise InvalidParams(f"alpha must be finite and >= 1, got {alpha!r}")
     if not (HALF_PI + TAU_ANGLE < gamma <= math.pi + TAU_ANGLE):
         raise InvalidParams(f"inner angle {gamma!r} outside (pi/2, pi]")
     t = math.tan(0.5 * gamma - 0.25 * math.pi)
@@ -239,13 +239,16 @@ def make_family_instance(family: str, gamma: float | None = None, **kwargs) -> I
     """Instantiate a named family; gamma-dependent families require gamma.
 
     Raises InvalidParams for an unknown family and for a parameter the
-    family's constructor lacks or requires but was not given.
+    family's constructor lacks or requires but was not given, and
+    InadmissibleCone for an inner angle outside [pi/2, pi]; narrower
+    family-specific angle ranges remain InvalidParams.
     """
     if family not in FAMILIES:
         raise InvalidParams(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
     if family in GAMMA_FAMILIES:
         if gamma is None:
             raise InvalidParams(f"family {family!r} needs an inner angle")
+        admissible_range(gamma)
         kwargs = dict(kwargs, gamma=gamma)
     if family in ("convex", "concave", "mixed"):
         kwargs = dict(kwargs, shape=family)

@@ -5,6 +5,11 @@ objective pairs and a sense (min or max).  Dominance treats values within
 TAU_VAL as equal, so solutions with (tolerance-) equal images never dominate
 each other and are all retained as efficient.
 
+Every computation reads the images through Instance.min_images(), the one
+place where the sense is applied: maximization images are negated, so
+smaller is better in both senses and the efficient set, the cone-order
+efficient set and the rotation kernel are stated once, for minimization.
+
 The cone-order efficient set is computed by reducing to the componentwise
 order: transform all images and run the componentwise sweep on the result.
 For inner angles below pi the reduction map is invertible and this is the
@@ -55,9 +60,26 @@ class Instance:
     def objectives_of(self, solution_id: str) -> Vector2:
         return self.solutions[self.index_of(solution_id)].objectives
 
+    @cached_property
+    def _images(self) -> np.ndarray:
+        arr = np.array([s.objectives for s in self.solutions], dtype=float).reshape(len(self.solutions), 2)
+        arr.flags.writeable = False
+        return arr
+
     def objective_array(self) -> np.ndarray:
         """Images as a float array of shape (n, 2), in solution order (also for n = 0)."""
-        return np.array([s.objectives for s in self.solutions], dtype=float).reshape(len(self.solutions), 2)
+        return self._images.copy()
+
+    def min_images(self, params: ConeParams | None = None) -> np.ndarray:
+        """Images for computation: shape (n, 2), smaller is better in both senses.
+
+        With params, the cone's reduction map is applied first, so the cone
+        order becomes the componentwise order.  Maximization images are then
+        negated.  The result may be shared between calls: treat it as
+        read-only.
+        """
+        arr = self._images if params is None else self._images @ np.array(params.matrix(), dtype=float).T
+        return -arr if self.sense == MAX else arr
 
     def index_of(self, solution_id: str) -> int:
         try:
@@ -151,10 +173,7 @@ def dominated_mask(values: np.ndarray, tol: float = TAU_VAL) -> np.ndarray:
 
 def efficient_set(instance: Instance) -> set[str]:
     """Ids of all undominated solutions (the classical efficient set)."""
-    values = instance.objective_array()
-    if instance.sense == MAX:
-        values = -values
-    mask = dominated_mask(values)
+    mask = dominated_mask(instance.min_images())
     return {s.id for s, dom in zip(instance.solutions, mask) if not dom}
 
 
@@ -179,14 +198,10 @@ def transform_instance(instance: Instance, params: ConeParams) -> Instance:
 def cone_efficient_set(instance: Instance, params: ConeParams) -> set[str]:
     """Ids of solutions optimal with respect to the cone order.
 
-    Minimization reduces to the componentwise sweep on transformed images;
-    maximization compares transformed images in the mirrored direction
-    (no transformed instance is formed, the cone test is applied directly).
+    The componentwise sweep on the transformed images, negated for
+    maximization (no transformed instance is formed).
     """
-    values = instance.objective_array() @ np.array(params.matrix(), dtype=float).T
-    if instance.sense == MAX:
-        values = -values
-    mask = dominated_mask(values)
+    mask = dominated_mask(instance.min_images(params))
     return {s.id for s, dom in zip(instance.solutions, mask) if not dom}
 
 

@@ -21,6 +21,12 @@ rotation with sqrt(tan phi')/sqrt(tan phi) = q, in closed form
 
 falling back to bisection on the (monotone) defining property when
 tan(gamma) is too large for the closed form to be well conditioned.
+
+Every scalarization here keeps the solutions whose value v satisfies
+v <= alpha * best + TAU_VAL, with best the smallest value (alpha = 1 for
+the optima); values are read from Instance.min_images(), so a weighted sum
+of a maximization instance is minimized on negated images, and an empty
+instance keeps nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .errors import (
     UnsupportedSense,
 )
 from .geometry import HALF_PI, ConeParams
-from .instances import MAX, MIN, Instance
+from .instances import MIN, Instance
 from .tolerances import TAU_ANGLE, TAU_VAL
 
 # Beyond this magnitude of tan(gamma) the closed form for rotation_for_ratio
@@ -63,27 +69,26 @@ def _check_weights(w1: float, w2: float) -> None:
         raise NonpositiveWeight(f"weights must be finite and > 0, got ({w1!r}, {w2!r})")
 
 
+def _near_optimal(ids: list[str], vals: np.ndarray, alpha: float = 1.0) -> list[str]:
+    """The ids whose value is at most alpha * (smallest value) + TAU_VAL."""
+    level = alpha * vals.min(initial=np.inf) + TAU_VAL
+    return [ids[i] for i in np.flatnonzero(vals <= level)]
+
+
+def _max_ordering_values(images: np.ndarray, weights: MaxOrderingWeights) -> np.ndarray:
+    return np.maximum(weights.w1 * images[:, 0], weights.w2 * images[:, 1])
+
+
 def weighted_sum_optima(instance: Instance, w1: float, w2: float) -> set[str]:
     """Argmin (argmax for maximization) set of w1*f1 + w2*f2, ties within TAU_VAL."""
     _check_weights(w1, w2)
-    arr = instance.objective_array()
-    vals = w1 * arr[:, 0] + w2 * arr[:, 1]
-    best = vals.max() if instance.sense == MAX else vals.min()
-    return {s.id for s, v in zip(instance.solutions, vals) if abs(v - best) <= TAU_VAL}
-
-
-def _max_ordering_values(instance: Instance, weights: MaxOrderingWeights) -> np.ndarray:
-    if instance.sense != MIN:
-        raise UnsupportedSense("max-ordering scalarization is defined for minimization instances")
-    arr = instance.objective_array()
-    return np.maximum(weights.w1 * arr[:, 0], weights.w2 * arr[:, 1])
+    images = instance.min_images()
+    return set(_near_optimal(instance.ids(), w1 * images[:, 0] + w2 * images[:, 1]))
 
 
 def max_ordering_optima(instance: Instance, weights: MaxOrderingWeights) -> set[str]:
     """Argmin set of max(w1*f1, w2*f2), ties within TAU_VAL."""
-    vals = _max_ordering_values(instance, weights)
-    best = vals.min()
-    return {s.id for s, v in zip(instance.solutions, vals) if abs(v - best) <= TAU_VAL}
+    return alpha_approximate_for_max_ordering(instance, weights, 1.0)
 
 
 def alpha_approximate_for_max_ordering(
@@ -91,9 +96,9 @@ def alpha_approximate_for_max_ordering(
 ) -> set[str]:
     """Solutions whose scalarized value is within factor alpha of the optimum."""
     check_alpha(alpha)
-    vals = _max_ordering_values(instance, weights)
-    best = vals.min()
-    return {s.id for s, v in zip(instance.solutions, vals) if v <= alpha * best + TAU_VAL}
+    if instance.sense != MIN:
+        raise UnsupportedSense("max-ordering scalarization is defined for minimization instances")
+    return set(_near_optimal(instance.ids(), _max_ordering_values(instance.min_images(), weights), alpha))
 
 
 def balanced_weights(params: ConeParams) -> MaxOrderingWeights:
@@ -155,15 +160,11 @@ def build_cover_set(instance: Instance, gamma: float, alpha: float = 1.0) -> set
     if instance.sense != MIN:
         raise UnsupportedSense("build_cover_set is defined for minimization instances")
     check_alpha(alpha)
-    arr = instance.objective_array()
+    images = instance.min_images()
     ids = instance.ids()
-    ratios = sorted({float(r) for r in arr[:, 0] / arr[:, 1]})
     out: set[str] = set()
-    for q in ratios:
+    for q in sorted({float(r) for r in images[:, 0] / images[:, 1]}):
         params = ConeParams(gamma, rotation_for_ratio(gamma, q))
-        weights = balanced_weights(params)
-        transformed = arr @ np.array(params.matrix(), dtype=float).T
-        vals = np.maximum(weights.w1 * transformed[:, 0], weights.w2 * transformed[:, 1])
-        level = alpha * vals.min() + TAU_VAL
-        out.add(min(sid for sid, v in zip(ids, vals) if v <= level))
+        vals = _max_ordering_values(instance.min_images(params), balanced_weights(params))
+        out.add(min(_near_optimal(ids, vals, alpha)))
     return out

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .geometry import ConeParams, admissible_range
-from .instances import MAX, Instance, cone_efficient_set
+from .instances import Instance, cone_efficient_set
 from .intervals import PhiIntervalSet, surviving_intervals
 from .tolerances import TAU_ANGLE
 
@@ -29,9 +29,7 @@ from .tolerances import TAU_ANGLE
 def _optimal_rotations(instance: Instance, gamma: float, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """surviving_intervals() for the selected rows against every solution."""
     ambient = admissible_range(gamma)
-    arr = instance.objective_array()
-    if instance.sense == MAX:
-        arr = -arr
+    arr = instance.min_images()
     return surviving_intervals(
         arr[rows], arr, gamma, ambient, keep_ties=gamma >= math.pi - TAU_ANGLE, coincide_covers=False
     )

@@ -22,11 +22,13 @@ def lattice_floats(lo: float = 0.05, hi: float = 20.0):
 
 
 @st.composite
-def min_instances(draw, min_size: int = 1, max_size: int = 10):
+def min_instances(draw, min_size: int = 1, max_size: int = 10, senses: tuple[str, ...] = ("min",)):
+    """Lattice instances; the sense is drawn from `senses` (minimization by default)."""
+    sense = draw(st.sampled_from(senses))
     pairs = draw(
         st.lists(st.tuples(lattice_floats(), lattice_floats()), min_size=min_size, max_size=max_size)
     )
-    return ca.make_instance("min", [(f"x{i}", a, b) for i, (a, b) in enumerate(pairs)])
+    return ca.make_instance(sense, [(f"x{i}", a, b) for i, (a, b) in enumerate(pairs)])
 
 
 @st.composite

@@ -12,6 +12,7 @@ from coneapprox.generators import maximization_trap, tightness_instance
 from conftest import brute_min_alpha, cone_params, min_instances, random_min_instance
 
 PI = math.pi
+BOTH = ("min", "max")
 
 
 def example1_instance():
@@ -30,7 +31,7 @@ class TestPairPredicate:
         assert ca.is_alpha_approx_pair(inst, None, "x2", "x1", 2.0)
         assert not ca.is_alpha_approx_pair(inst, None, "x1", "x2", 2.0)
 
-    @given(min_instances(min_size=2, max_size=6), cone_params(), st.floats(1.0, 4.0))
+    @given(min_instances(min_size=2, max_size=6, senses=BOTH), cone_params(), st.floats(1.0, 4.0))
     def test_componentwise_implies_cone(self, inst, params, alpha):
         ids = inst.ids()
         for by in ids[:3]:
@@ -52,15 +53,16 @@ class TestPairPredicate:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda inst: ca.is_alpha_approx_pair(inst, None, "x1", "x2", math.nan),
-        lambda inst: ca.verify_approx_set(inst, {"x1"}, math.nan),
-        lambda inst: ca.rotation_coverage_gaps(inst, {"x1"}, 0.75 * PI, math.nan),
+        lambda inst, alpha: ca.is_alpha_approx_pair(inst, None, "x1", "x2", alpha),
+        lambda inst, alpha: ca.verify_approx_set(inst, {"x1"}, alpha),
+        lambda inst, alpha: ca.rotation_coverage_gaps(inst, {"x1"}, 0.75 * PI, alpha),
     ],
     ids=["is_alpha_approx_pair", "verify_approx_set", "rotation_coverage_gaps"],
 )
 def test_nan_alpha_rejected(call):
-    with pytest.raises(AlphaBelowOne):
-        call(example1_instance())
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(AlphaBelowOne, match="finite"):
+            call(example1_instance(), alpha)
 
 
 class TestVerifyApproxSet:
@@ -114,7 +116,7 @@ class TestMinAlpha:
         if m - eps >= 1.0:
             assert not ca.verify_approx_set(inst, selection, m - eps).is_valid
 
-    @given(min_instances(min_size=2, max_size=10), st.data())
+    @given(min_instances(min_size=2, max_size=10, senses=BOTH), st.data())
     def test_matches_brute_force(self, inst, data):
         ids = inst.ids()
         k = data.draw(st.integers(1, len(ids)))
@@ -123,7 +125,7 @@ class TestMinAlpha:
         want = brute_min_alpha(inst, selection, None)
         assert got == pytest.approx(want, abs=1e-12)
 
-    @given(min_instances(min_size=2, max_size=8), cone_params(), st.data())
+    @given(min_instances(min_size=2, max_size=8, senses=BOTH), cone_params(), st.data())
     def test_matches_brute_force_with_cone(self, inst, params, data):
         ids = inst.ids()
         k = data.draw(st.integers(1, len(ids)))
@@ -156,6 +158,8 @@ class TestMinAlpha:
         # Covering x3 = (alpha+1, alpha+1) by x1 = (1, big) needs factor alpha+1.
         assert m == pytest.approx(3.0, abs=1e-12)
         assert ca.min_alpha(inst, set(inst.ids())) == pytest.approx(1.0, abs=1e-12)
+        assert ca.is_alpha_approx_pair(inst, None, "x1", "x3", 3.0)
+        assert not ca.is_alpha_approx_pair(inst, None, "x1", "x3", 2.9)
 
 
 class TestConeToComponentwiseFactor:

@@ -4,6 +4,7 @@ import re
 import runpy
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -297,6 +298,7 @@ EXIT_CONTRACT = [
     ("verify {inst} --set zz --alpha 2", 2),
     ("generate convex --n 3 -o {out_json}", 0),
     ("generate tightness --alpha 2 --gamma huh --epsilon 0.1", 1),
+    ("generate tightness --alpha 2 --gamma 0.3pi --epsilon 0.1", 1),
     ("generate tightness --alpha 2 --gamma 0.75pi", 2),
     ("sweep --steps 2 --generator convex:n=3,seed=0 {out_csv}", 0),
     ("sweep --gamma-from 0.75pi --gamma-to pi --steps 0 --generator convex:n=3,seed=0 {out_csv}", 1),
@@ -309,7 +311,18 @@ EXIT_CONTRACT = [
 ]
 
 
-@pytest.mark.parametrize("template,code", EXIT_CONTRACT, ids=[f"{t.split()[0]}-{c}" for t, c in EXIT_CONTRACT])
+def _contract_ids(rows):
+    """`<subcommand>-<code>`; a repeated pair gets `-case2`, `-case3`, ..."""
+    seen: Counter = Counter()
+    ids = []
+    for template, code in rows:
+        key = f"{template.split()[0]}-{code}"
+        seen[key] += 1
+        ids.append(key if seen[key] == 1 else f"{key}-case{seen[key]}")
+    return ids
+
+
+@pytest.mark.parametrize("template,code", EXIT_CONTRACT, ids=_contract_ids(EXIT_CONTRACT))
 def test_exit_code_contract(template, code, tmp_path, example1_file):
     bad = tmp_path / "bad.json"
     bad.write_text('{"sense": "min", "solutions": [{"id": "a", "f": [1, -2]}]}')
@@ -356,12 +369,13 @@ def test_bounds_out_of_range_prints_no_rows(capsys):
 
 
 def test_nan_alpha(example1_file, tmp_path, capsys):
-    assert run(["verify", example1_file, "--set", "x1", "--alpha", "nan"]) == 1
-    assert capsys.readouterr().out == ""
-    out = tmp_path / "t.json"
-    rc = run(["generate", "tightness", "--alpha", "nan", "--gamma", "0.75pi", "--epsilon", "0.1", "-o", str(out)])
-    assert rc == 2
-    assert not out.exists()
+    for alpha in ("nan", "inf"):
+        assert run(["verify", example1_file, "--set", "x1", "--alpha", alpha]) == 1
+        assert capsys.readouterr().out == ""
+        out = tmp_path / "t.json"
+        rc = run(["generate", "tightness", "--alpha", alpha, "--gamma", "0.75pi", "--epsilon", "0.1", "-o", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
 
 def test_guarantee_figure_script(tmp_path, monkeypatch, capsys):

@@ -104,15 +104,17 @@ class TestMaximizationTrap:
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: gen.every_rotation_trap(math.nan, 0.75 * PI),
-        lambda: gen.tightness_instance(math.nan, 0.75 * PI, 0.1),
-        lambda: gen.maximization_trap(math.nan, 0.75 * PI),
+        lambda alpha: gen.single_cone_trap(alpha, 0.75 * PI, 0.1 * PI),
+        lambda alpha: gen.every_rotation_trap(alpha, 0.75 * PI),
+        lambda alpha: gen.tightness_instance(alpha, 0.75 * PI, 0.1),
+        lambda alpha: gen.maximization_trap(alpha, 0.75 * PI),
     ],
-    ids=["every_rotation_trap", "tightness_instance", "maximization_trap"],
+    ids=["single_cone_trap", "every_rotation_trap", "tightness_instance", "maximization_trap"],
 )
 def test_nan_alpha_rejected(build):
-    with pytest.raises(InvalidParams):
-        build()
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(InvalidParams):
+            build(alpha)
 
 
 class TestRandomFront:

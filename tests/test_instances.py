@@ -89,8 +89,12 @@ class TestEfficientSet:
         assert ca.efficient_set(inst) == set()
         assert ca.cone_efficient_set(inst, ca.ConeParams(0.75 * PI, 0.1)) == set()
         assert ca.gamma_supported_set(inst, 0.75 * PI) == set()
+        assert ca.weighted_sum_optima(inst, 1.0, 2.0) == set()
         if sense == "min":
             assert ca.build_cover_set(inst, 0.75 * PI) == set()
+            w = ca.MaxOrderingWeights(1.0, 2.0)
+            assert ca.max_ordering_optima(inst, w) == set()
+            assert ca.alpha_approximate_for_max_ordering(inst, w, 1.5) == set()
 
     @given(min_instances(max_size=12))
     def test_matches_brute_force(self, inst):

@@ -109,8 +109,9 @@ class TestAlphaApproximateLevelSet:
 
     def test_nan_alpha_rejected(self):
         inst = ca.make_instance("min", [("x1", 1, 1)])
-        with pytest.raises(AlphaBelowOne):
-            ca.alpha_approximate_for_max_ordering(inst, ca.MaxOrderingWeights(1, 1), math.nan)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(AlphaBelowOne):
+                ca.alpha_approximate_for_max_ordering(inst, ca.MaxOrderingWeights(1, 1), alpha)
 
 
 class TestBalancedWeights:
@@ -223,8 +224,9 @@ class TestBuildCoverSet:
 
     def test_nan_alpha_rejected(self):
         inst = ca.make_instance("min", [("x1", 1, 2), ("x2", 2, 1)])
-        with pytest.raises(AlphaBelowOne):
-            ca.build_cover_set(inst, 0.75 * PI, math.nan)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(AlphaBelowOne):
+                ca.build_cover_set(inst, 0.75 * PI, alpha)
 
     def test_deterministic(self):
         inst = random_min_instance(3, 25)
