@@ -4,10 +4,15 @@ Subcommands: validate, sets, verify, generate, sweep, bounds, plot.
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
 0 success / claim holds; 1 semantic failure: an invalid instance, a violated
 claim, or an inner angle, rotation or factor outside its range
-(InadmissibleCone, AlphaBelowOne); 2 any other ConeApproxError (malformed
-file, unknown id, bad generator option, usage) or OSError.  main() alone
-maps errors to these codes; any other exception is a bug in the program and
-propagates with its traceback.
+(InvalidInstance, InadmissibleCone, AlphaBelowOne); 2 any other
+ConeApproxError (malformed file, unknown id, bad generator option, usage) or
+OSError.  The commands raise; main() alone maps errors to these codes and
+prints them, and any other exception is a bug in the program and propagates
+with its traceback.
+
+`generate` and `sweep` name no family: they forward the options the user
+gave, and the family's builder in `generators.FAMILIES` accepts them or
+rejects them (exit 2).
 
 Angles are accepted as radians ("2.35619") or as fractions of pi
 ("0.75pi"); the internal canonical form is radians.
@@ -30,7 +35,8 @@ import numpy as np
 from . import generators
 from .approximation import min_alpha, verify_approx_set
 from .bounds import BoundTable, guarantee_factor, rule_of_thumb
-from .errors import AlphaBelowOne, ConeApproxError, InadmissibleCone, InstanceFormatError, InvalidParams
+from .errors import (AlphaBelowOne, ConeApproxError, InadmissibleCone, InstanceFormatError, InvalidInstance,
+                     InvalidParams, UsageError)
 from .geometry import ConeParams, admissible_range
 from .instances import Instance, dump_instance, efficient_set, instance_to_obj, load_instance, validate
 from .supportedness import gamma_supported_set, supported_set
@@ -39,7 +45,11 @@ from .svg import render_sweep_svg
 SWEEP_HEADER = "gamma,instance_id,empirical_alpha,theory_bound,rule_of_thumb"
 
 # Errors that exit 1; every other ConeApproxError and every OSError exits 2.
-SEMANTIC_ERRORS = (InadmissibleCone, AlphaBelowOne)
+SEMANTIC_ERRORS = (InvalidInstance, InadmissibleCone, AlphaBelowOne)
+
+# Options that `generate` forwards, when given, to the family's builder, with
+# their argparse types; angles stay text until parse_angle reads them.
+FAMILY_OPTIONS = {"alpha": float, "gamma": str, "phi": str, "epsilon": float, "n": int, "k": int, "seed": int}
 
 
 def parse_angle(text: str) -> float:
@@ -57,41 +67,39 @@ def parse_angle(text: str) -> float:
         raise InadmissibleCone(f"cannot parse angle {text!r}") from None
 
 
-def _require_valid(instance: Instance) -> None:
+def _load_valid(path: str) -> Instance:
+    instance = load_instance(path)
     violations = validate(instance)
     if violations:
-        for v in violations:
-            print(v, file=sys.stderr)
-        raise SystemExit(1)
+        raise InvalidInstance(*violations)
+    return instance
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    _require_valid(load_instance(args.path))
+    _load_valid(args.path)
     return 0
 
 
 def cmd_sets(args: argparse.Namespace) -> int:
-    instance = load_instance(args.path)
-    _require_valid(instance)
+    instance = _load_valid(args.path)
+    if args.mode != "gamma-supported" and args.gamma is not None:
+        raise UsageError(f"--gamma applies only to --mode gamma-supported, not {args.mode}")
     if args.mode == "efficient":
         ids = efficient_set(instance)
     elif args.mode == "supported":
         ids = supported_set(instance)
     else:
         if args.gamma is None:
-            print("gamma-supported mode needs --gamma", file=sys.stderr)
-            return 1
+            raise InadmissibleCone("gamma-supported mode needs an inner angle (--gamma)")
         ids = gamma_supported_set(instance, parse_angle(args.gamma))
     print(json.dumps(sorted(ids)))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    instance = load_instance(args.path)
-    _require_valid(instance)
+    instance = _load_valid(args.path)
     if (args.gamma is None) != (args.phi is None):
-        print("--gamma and --phi must be given together", file=sys.stderr)
-        return 2
+        raise UsageError("--gamma and --phi must be given together")
     params = None if args.gamma is None else ConeParams(parse_angle(args.gamma), parse_angle(args.phi))
     selection = [s for s in args.set.split(",") if s]
     report = verify_approx_set(instance, selection, args.alpha, params)
@@ -100,21 +108,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.alpha is not None:
-        kwargs["alpha"] = args.alpha
-    if args.phi is not None:
-        kwargs["phi"] = parse_angle(args.phi)
-    if args.epsilon is not None:
-        kwargs["epsilon"] = args.epsilon
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.k is not None:
-        kwargs["k"] = args.k
-    if args.family in ("convex", "concave", "mixed", "knapsack"):
-        kwargs["seed"] = args.seed
-    gamma = parse_angle(args.gamma) if args.gamma is not None else None
-    instance = generators.make_family_instance(args.family, gamma=gamma, **kwargs)
+    given = {name: getattr(args, name) for name in FAMILY_OPTIONS if getattr(args, name) is not None}
+    params = {name: parse_angle(v) if isinstance(v, str) else v for name, v in given.items()}
+    instance = generators.make_family_instance(args.family, **params)
     if args.out:
         dump_instance(instance, args.out)
     else:
@@ -137,7 +133,7 @@ def parse_generator_spec(spec: str) -> tuple[str, dict]:
                 raise InvalidParams(f"bad generator option {piece!r}")
             key = key.strip()
             try:
-                kwargs[key] = int(value) if key in ("n", "k", "seed") else float(value)
+                kwargs[key] = int(value) if FAMILY_OPTIONS.get(key) is int else float(value)
             except ValueError as exc:
                 raise InvalidParams(f"bad generator option {piece!r}: {exc}") from None
     return family, kwargs
@@ -160,26 +156,31 @@ def _inner_angles(gamma_from: float, gamma_to: float, steps: int) -> list[float]
 
 def sweep_rows(gamma_from: float, gamma_to: float, steps: int, spec: str) -> list[dict]:
     """One row per inner angle: empirical factor of the supported-style set
-    against the guarantee and the rule of thumb."""
+    against the guarantee and the rule of thumb.
+
+    A family that takes an inner angle is built at each angle; any other is
+    built once and judged at every angle.
+    """
     gammas = _inner_angles(gamma_from, gamma_to, steps)
-    family, kwargs = parse_generator_spec(spec)
+    family, params = parse_generator_spec(spec)
     if family in generators.MAXIMIZATION_FAMILIES:
         raise ConeApproxError("sweep requires a minimization family")
-    rows = []
-    for gamma in gammas:
-        instance = generators.make_family_instance(family, gamma=gamma, **kwargs)
-        supported = gamma_supported_set(instance, gamma)
-        rows.append(
-            {
-                "gamma": gamma,
-                "instance_id": spec,
-                "empirical_alpha": min_alpha(instance, supported),
-                "theory_bound": guarantee_factor(gamma),
-                "rule_of_thumb": rule_of_thumb(gamma),
-            }
-        )
-    rows.sort(key=lambda r: (r["gamma"], r["instance_id"]))
-    return rows
+    if "gamma" in params:
+        raise UsageError("sweep sets the inner angle itself; drop gamma from --generator")
+    if generators.takes_inner_angle(family):
+        instances = [generators.make_family_instance(family, gamma=gamma, **params) for gamma in gammas]
+    else:
+        instances = [generators.make_family_instance(family, **params)] * len(gammas)
+    return [
+        {
+            "gamma": gamma,
+            "instance_id": spec,
+            "empirical_alpha": min_alpha(instance, gamma_supported_set(instance, gamma)),
+            "theory_bound": guarantee_factor(gamma),
+            "rule_of_thumb": rule_of_thumb(gamma),
+        }
+        for gamma, instance in zip(gammas, instances)
+    ]
 
 
 def write_sweep_csv(path: str, rows: list[dict]) -> None:
@@ -269,15 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", help="rotation for a cone-order check")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("generate", help="emit an instance of a named family")
+    p = sub.add_parser("generate", help="emit an instance of a named family",
+                       description="Each family takes exactly its builder's options; angles are radians or '0.75pi'.")
     p.add_argument("family", choices=sorted(generators.FAMILIES))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", help="inner angle (radians or '0.75pi')")
-    p.add_argument("--phi")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    for name, kind in FAMILY_OPTIONS.items():
+        p.add_argument(f"--{name}", type=kind)
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_generate)
 
@@ -285,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-from", default="0.5pi")
     p.add_argument("--gamma-to", default="pi")
     p.add_argument("--steps", type=int, default=9)
-    p.add_argument("--generator", required=True, help="e.g. 'tightness:alpha=1,epsilon=0.1'")
+    p.add_argument("--generator", required=True, help="'FAMILY:key=value,...' with generate's family options")
     p.add_argument("out")
     p.set_defaults(func=cmd_sweep)
 
@@ -308,8 +305,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except (ConeApproxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, SEMANTIC_ERRORS) else 2

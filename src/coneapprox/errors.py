@@ -59,3 +59,18 @@ class KTooLarge(ConeApproxError, ValueError):
 
 class InstanceFormatError(ConeApproxError, ValueError):
     """An instance file does not follow the JSON schema."""
+
+
+class InvalidInstance(ConeApproxError, ValueError):
+    """A well-formed instance breaks the model's invariants.
+
+    The arguments are the violations found by `instances.validate`, shown
+    one per line.
+    """
+
+    def __str__(self) -> str:
+        return "\n".join(str(v) for v in self.args)
+
+
+class UsageError(ConeApproxError, ValueError):
+    """Command line options that do not fit together."""

@@ -19,12 +19,17 @@ Random families (seeded, bit-reproducible given the same numpy version):
 fronts on strictly convex or strictly concave decreasing curves, a mixed
 front with dominated noise, and exhaustive enumeration of subset instances
 that trade selected cost against unselected value.
+
+FAMILIES names each family's builder; the builder's signature alone says
+which parameters the family takes (the seeded ones default to seed 0), and
+make_family_instance rejects any other.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+from functools import partial
 
 import numpy as np
 
@@ -222,39 +227,43 @@ FAMILIES = {
     "always-optimal": every_rotation_trap,
     "tightness": tightness_instance,
     "maximization": maximization_trap,
-    "convex": random_front,
-    "concave": random_front,
-    "mixed": random_front,
-    "knapsack": knapsack_enumeration,
+    "convex": partial(random_front, shape="convex", seed=0),
+    "concave": partial(random_front, shape="concave", seed=0),
+    "mixed": partial(random_front, shape="mixed", seed=0),
+    "knapsack": partial(knapsack_enumeration, seed=0),
 }
-
-# Families whose construction depends on the inner angle.
-GAMMA_FAMILIES = {"single-cone", "always-optimal", "tightness", "maximization"}
 
 # Families that build maximization instances; every other one minimizes.
 MAXIMIZATION_FAMILIES = {"maximization"}
 
 
-def make_family_instance(family: str, gamma: float | None = None, **kwargs) -> Instance:
-    """Instantiate a named family; gamma-dependent families require gamma.
-
-    Raises InvalidParams for an unknown family and for a parameter the
-    family's constructor lacks or requires but was not given, and
-    InadmissibleCone for an inner angle outside [pi/2, pi]; narrower
-    family-specific angle ranges remain InvalidParams.
-    """
-    if family not in FAMILIES:
-        raise InvalidParams(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
-    if family in GAMMA_FAMILIES:
-        if gamma is None:
-            raise InvalidParams(f"family {family!r} needs an inner angle")
-        admissible_range(gamma)
-        kwargs = dict(kwargs, gamma=gamma)
-    if family in ("convex", "concave", "mixed"):
-        kwargs = dict(kwargs, shape=family)
-    build = FAMILIES[family]
+def _builder(family: str):
     try:
-        inspect.signature(build).bind(**kwargs)
+        return FAMILIES[family]
+    except KeyError:
+        raise InvalidParams(f"unknown family {family!r}; known: {sorted(FAMILIES)}") from None
+
+
+def takes_inner_angle(family: str) -> bool:
+    """Whether the named family's construction depends on the inner angle,
+    that is, whether its builder has a `gamma` parameter."""
+    return "gamma" in inspect.signature(_builder(family)).parameters
+
+
+def make_family_instance(family: str, **params) -> Instance:
+    """Instantiate a named family with exactly the parameters its builder takes.
+
+    A given inner angle `gamma` is checked first: outside [pi/2, pi] it
+    raises InadmissibleCone, whichever the family.  InvalidParams is raised
+    for an unknown family, for a parameter the builder lacks or requires but
+    was not given, and for values outside the family's own ranges (such as
+    `always-optimal` at pi).
+    """
+    build = _builder(family)
+    if "gamma" in params:
+        admissible_range(params["gamma"])
+    try:
+        inspect.signature(build).bind(**params)
     except TypeError as exc:
         raise InvalidParams(f"family {family!r}: {exc}") from None
-    return build(**kwargs)
+    return build(**params)

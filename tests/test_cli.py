@@ -50,6 +50,14 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "a" in err and "component 2" in err
 
+    def test_each_violation_on_its_own_line(self, tmp_path, capsys):
+        path = tmp_path / "bad2.json"
+        path.write_text('{"sense": "min", "solutions": [{"id": "a", "f": [1, -2]}, {"id": "a", "f": [0, 2]}]}')
+        assert run(["validate", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3
+        assert "component 2" in lines[0] and "duplicate-id" in lines[1] and "component 1" in lines[2]
+
     def test_malformed_json_exit_two(self, tmp_path):
         path = tmp_path / "nope.json"
         path.write_text("{")
@@ -140,6 +148,13 @@ class TestGenerateCommand:
 
     def test_bad_params_exit_two(self, tmp_path):
         assert run(["generate", "tightness", "--alpha", "2", "--epsilon", "0.1"]) == 2
+
+    def test_seed_defaults_to_zero(self, capsys):
+        for family, size in (("mixed", "--n"), ("knapsack", "--k")):
+            assert run(["generate", family, size, "4"]) == 0
+            default = capsys.readouterr().out
+            assert run(["generate", family, size, "4", "--seed", "0"]) == 0
+            assert capsys.readouterr().out == default
 
 
 class TestSweepAndPlot:
@@ -293,6 +308,8 @@ EXIT_CONTRACT = [
     ("sets {inst} --mode efficient", 0),
     ("sets {inst} --mode gamma-supported --gamma 0.3pi", 1),
     ("sets {missing} --mode efficient", 2),
+    ("sets {inst} --mode efficient --gamma 0.3pi", 2),
+    ("sets {inst} --mode supported --gamma huh", 2),
     ("verify {inst} --set x2 --alpha 2", 0),
     ("verify {inst} --set x1 --alpha 0.5", 1),
     ("verify {inst} --set zz --alpha 2", 2),
@@ -300,9 +317,14 @@ EXIT_CONTRACT = [
     ("generate tightness --alpha 2 --gamma huh --epsilon 0.1", 1),
     ("generate tightness --alpha 2 --gamma 0.3pi --epsilon 0.1", 1),
     ("generate tightness --alpha 2 --gamma 0.75pi", 2),
+    ("generate convex --n 2 --gamma 0.75pi", 2),
+    ("generate convex --n 2 --gamma 0.3pi", 1),
+    ("generate single-cone --alpha 2 --gamma 0.75pi --phi 0.1 --seed 4", 2),
     ("sweep --steps 2 --generator convex:n=3,seed=0 {out_csv}", 0),
     ("sweep --gamma-from 0.75pi --gamma-to pi --steps 0 --generator convex:n=3,seed=0 {out_csv}", 1),
     ("sweep --steps 2 --generator nope {out_csv}", 2),
+    ("sweep --steps 2 --generator convex:n=3 {out_csv}", 0),
+    ("sweep --steps 2 --generator tightness:alpha=1,epsilon=0.1,gamma=2 {out_csv}", 2),
     ("bounds --steps 3", 0),
     ("bounds --gamma-to 1.5pi", 1),
     ("bounds --steps 3 -o {unwritable}", 2),

@@ -7,7 +7,7 @@ import pytest
 
 import coneapprox as ca
 from coneapprox import generators as gen
-from coneapprox.errors import InvalidParams, KTooLarge
+from coneapprox.errors import InadmissibleCone, InvalidParams, KTooLarge
 
 PI = math.pi
 
@@ -215,13 +215,53 @@ class TestFamilyRegistry:
     def test_shape_injection(self):
         inst = gen.make_family_instance("concave", n=5, seed=1)
         assert len(inst.solutions) == 5
+        assert inst == gen.random_front(5, 1, "concave")
+        assert gen.make_family_instance("convex", n=4) == gen.random_front(4, 0, "convex")
+        assert gen.make_family_instance("knapsack", k=3) == gen.knapsack_enumeration(3, 0)
 
     def test_unknown_family(self):
         with pytest.raises(InvalidParams):
             gen.make_family_instance("nope")
+        with pytest.raises(InvalidParams):
+            gen.takes_inner_angle("nope")
+
+    def test_angle_outside_range_checked_first(self):
+        with pytest.raises(InadmissibleCone):
+            gen.make_family_instance("convex", n=3, gamma=0.3 * PI)
 
     def test_missing_or_unknown_parameter(self):
         with pytest.raises(InvalidParams, match="epsilon"):
             gen.make_family_instance("tightness", gamma=0.75 * PI, alpha=2.0)
         with pytest.raises(InvalidParams, match="alpha"):
             gen.make_family_instance("convex", n=3, seed=0, alpha=2.0)
+        with pytest.raises(InvalidParams, match="gamma"):
+            gen.make_family_instance("convex", n=3, gamma=0.75 * PI)
+        with pytest.raises(InvalidParams, match="seed"):
+            gen.make_family_instance("single-cone", alpha=2.0, gamma=0.75 * PI, phi=0.1, seed=4)
+
+
+# The options each family takes, as the README lists them.
+DOCUMENTED_OPTIONS = {
+    "single-cone": {"alpha": 2.0, "gamma": 0.75 * PI, "phi": 0.1},
+    "always-optimal": {"alpha": 2.0, "gamma": 0.75 * PI},
+    "tightness": {"alpha": 1.0, "gamma": 0.75 * PI, "epsilon": 0.1},
+    "maximization": {"alpha": 2.0, "gamma": 0.75 * PI},
+    "convex": {"n": 5, "seed": 1},
+    "concave": {"n": 5},
+    "mixed": {"n": 6, "seed": 2},
+    "knapsack": {"k": 3},
+}
+
+
+@pytest.mark.parametrize("family", sorted(gen.FAMILIES))
+def test_every_family_builds_from_documented_options(family):
+    params = DOCUMENTED_OPTIONS[family]
+    inst = gen.make_family_instance(family, **params)
+    assert ca.validate(inst) == []
+    assert gen.takes_inner_angle(family) == ("gamma" in params)
+    assert (inst.sense == "max") == (family in gen.MAXIMIZATION_FAMILIES)
+
+
+def test_inner_angle_families():
+    angle_families = {f for f in gen.FAMILIES if gen.takes_inner_angle(f)}
+    assert angle_families == {"single-cone", "always-optimal", "tightness", "maximization"}
