@@ -30,8 +30,6 @@ from .geometry import (
     admissible,
     admissible_range,
     cone_contains,
-    cone_leq,
-    dominating_rotations,
     transform,
 )
 from .instances import (
@@ -46,7 +44,6 @@ from .instances import (
     instance_to_obj,
     load_instance,
     make_instance,
-    transform_instance,
     validate,
 )
 from .intervals import PhiIntervalSet
@@ -61,8 +58,6 @@ from .scalarize import (
 )
 from .supportedness import (
     gamma_supported_set,
-    grid_oracle_gamma_supported,
-    is_gamma_supported,
     optimal_phi_set,
     supported_set,
 )
@@ -87,22 +82,18 @@ __all__ = [
     "build_cover_set",
     "cone_contains",
     "cone_efficient_set",
-    "cone_leq",
     "cone_to_componentwise_factor",
     "distortion_gap",
     "distortion_identity_residual",
     "dominates",
-    "dominating_rotations",
     "dump_instance",
     "efficient_set",
     "gamma_supported_set",
-    "grid_oracle_gamma_supported",
     "guarantee_factor",
     "instance_from_obj",
     "instance_to_obj",
     "is_alpha_approx_for_all_rotations",
     "is_alpha_approx_pair",
-    "is_gamma_supported",
     "load_instance",
     "make_instance",
     "max_ordering_optima",
@@ -113,7 +104,6 @@ __all__ = [
     "rule_of_thumb",
     "supported_set",
     "transform",
-    "transform_instance",
     "validate",
     "verify_approx_set",
     "weighted_sum_optima",

@@ -47,8 +47,9 @@ SWEEP_HEADER = "gamma,instance_id,empirical_alpha,theory_bound,rule_of_thumb"
 # Errors that exit 1; every other ConeApproxError and every OSError exits 2.
 SEMANTIC_ERRORS = (InvalidInstance, InadmissibleCone, AlphaBelowOne)
 
-# Options that `generate` forwards, when given, to the family's builder, with
-# their argparse types; angles stay text until parse_angle reads them.
+# Options that `generate` forwards, when given, to the family's builder, and
+# the keys of a `sweep --generator` spec, with their types; angles stay text
+# until parse_angle reads them.
 FAMILY_OPTIONS = {"alpha": float, "gamma": str, "phi": str, "epsilon": float, "n": int, "k": int, "seed": int}
 
 
@@ -121,7 +122,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def parse_generator_spec(spec: str) -> tuple[str, dict]:
     """Parse 'family:key=value,key=value' into a family name and kwargs.
 
-    A malformed option or value raises InvalidParams.
+    Values are read by their kind in FAMILY_OPTIONS, as `generate` reads
+    them: angles through parse_angle (unparsable text raises
+    InadmissibleCone), the others as int or float; a key `generate` has no
+    option for is read as a float and left to the family to reject.  A
+    malformed option or number raises InvalidParams.
     """
     family, _, tail = spec.partition(":")
     family = family.strip()
@@ -132,8 +137,12 @@ def parse_generator_spec(spec: str) -> tuple[str, dict]:
             if not sep:
                 raise InvalidParams(f"bad generator option {piece!r}")
             key = key.strip()
+            kind = FAMILY_OPTIONS.get(key, float)
+            if kind is str:
+                kwargs[key] = parse_angle(value)
+                continue
             try:
-                kwargs[key] = int(value) if FAMILY_OPTIONS.get(key) is int else float(value)
+                kwargs[key] = kind(value)
             except ValueError as exc:
                 raise InvalidParams(f"bad generator option {piece!r}: {exc}") from None
     return family, kwargs
@@ -212,7 +221,19 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def read_sweep_csv(path: str) -> list[dict]:
+    """Rows of a sweep CSV; an empty empirical_alpha reads as NaN (no point).
+
+    A wrong header, an unreadable file or a row with a missing, unparsable or
+    non-finite number raises InstanceFormatError.
+    """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -226,11 +247,11 @@ def read_sweep_csv(path: str) -> list[dict]:
         try:
             rows.append(
                 {
-                    "gamma": float(raw["gamma"]),
+                    "gamma": _finite(raw["gamma"]),
                     "instance_id": raw["instance_id"],
-                    "empirical_alpha": float(raw["empirical_alpha"]) if raw["empirical_alpha"] else math.nan,
-                    "theory_bound": float(raw["theory_bound"]),
-                    "rule_of_thumb": float(raw["rule_of_thumb"]),
+                    "empirical_alpha": _finite(raw["empirical_alpha"]) if raw["empirical_alpha"] else math.nan,
+                    "theory_bound": _finite(raw["theory_bound"]),
+                    "rule_of_thumb": _finite(raw["rule_of_thumb"]),
                 }
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -227,9 +227,10 @@ FAMILIES = {
     "always-optimal": every_rotation_trap,
     "tightness": tightness_instance,
     "maximization": maximization_trap,
-    "convex": partial(random_front, shape="convex", seed=0),
-    "concave": partial(random_front, shape="concave", seed=0),
-    "mixed": partial(random_front, shape="mixed", seed=0),
+    # A front family's shape is its own, not a parameter.
+    "convex": lambda n, seed=0: random_front(n, seed, "convex"),
+    "concave": lambda n, seed=0: random_front(n, seed, "concave"),
+    "mixed": lambda n, seed=0: random_front(n, seed, "mixed"),
     "knapsack": partial(knapsack_enumeration, seed=0),
 }
 

@@ -15,8 +15,7 @@ a positively weighted sum.  Admissible rotations form the closed interval
 gamma = pi, where the two axis-aligned halfplanes must be excluded.
 
 In direction space the cone spans the angles [-phi, gamma - phi], which is
-what rotation_window() and dominating_rotations() exploit to invert
-membership queries over phi.
+what rotation_window() exploits to invert membership queries over phi.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InadmissibleCone, ZeroDirection
-from .intervals import PhiIntervalSet
 from .tolerances import TAU_ANGLE, TAU_VAL
 
 HALF_PI = 0.5 * math.pi
@@ -93,11 +91,6 @@ class ConeParams:
     def phi_prime(self) -> float:
         return self.gamma - HALF_PI - self.phi
 
-    @property
-    def phi_bar(self) -> float:
-        """The symmetric rotation for this inner angle (phi = phi')."""
-        return 0.5 * self.gamma - 0.25 * math.pi
-
     def matrix(self) -> tuple[Vector2, Vector2]:
         """Rows of the linear map reducing this cone order to componentwise."""
         pp = self.phi_prime
@@ -120,11 +113,6 @@ def cone_contains(params: ConeParams, d: Vector2, tol: float = TAU_VAL) -> bool:
     return t1 >= -tol and t2 >= -tol
 
 
-def cone_leq(params: ConeParams, y: Vector2, y2: Vector2) -> bool:
-    """y precedes y2 in the cone order (y2 - y lies in the cone)."""
-    return cone_contains(params, (y2[0] - y[0], y2[1] - y[1]))
-
-
 def rotation_window(gamma: float, d: Vector2) -> tuple[float, float]:
     """Unclipped rotation interval [-theta, gamma - theta] on which d lies in
     the cone, with theta = atan2(d2, d1).  Raises ZeroDirection for d = (0, 0).
@@ -134,20 +122,3 @@ def rotation_window(gamma: float, d: Vector2) -> tuple[float, float]:
         raise ZeroDirection("direction (0, 0) has no rotation window")
     theta = float(np.arctan2(d[1], d[0]))
     return (-theta, gamma - theta)
-
-
-def dominating_rotations(gamma: float, d: Vector2) -> PhiIntervalSet:
-    """All admissible rotations phi for which d lies in the cone (gamma, phi).
-
-    The rotation window of d clipped to the admissible range: empty, a
-    single closed interval (possibly a point), or the whole range.  Raises
-    ZeroDirection for d = (0, 0), since callers use this to invert dominance
-    queries and equal images never dominate.
-    """
-    ambient = admissible_range(gamma)
-    raw_lo, raw_hi = rotation_window(gamma, d)
-    lo = max(ambient[0], raw_lo)
-    hi = min(ambient[1], raw_hi)
-    if lo > hi:
-        return PhiIntervalSet.empty(ambient)
-    return PhiIntervalSet(ambient, (lo, hi))

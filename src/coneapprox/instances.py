@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InstanceFormatError, UnknownId, UnsupportedSense
+from .errors import InstanceFormatError, UnknownId
 from .geometry import ConeParams, Vector2
 from .tolerances import TAU_VAL
 
@@ -175,24 +175,6 @@ def efficient_set(instance: Instance) -> set[str]:
     """Ids of all undominated solutions (the classical efficient set)."""
     mask = dominated_mask(instance.min_images())
     return {s.id for s, dom in zip(instance.solutions, mask) if not dom}
-
-
-def transform_instance(instance: Instance, params: ConeParams) -> Instance:
-    """The instance with all images pushed through the cone's reduction map.
-
-    Only defined for minimization (the reduction of cone-order optimality to
-    componentwise efficiency is a minimization statement).  Transformed
-    images of positive vectors stay positive, so the result is again a valid
-    instance.
-    """
-    if instance.sense != MIN:
-        raise UnsupportedSense("transform_instance is defined for minimization instances")
-    (a, b), (c, d) = params.matrix()
-    sols = tuple(
-        Solution(s.id, (a * s.objectives[0] + b * s.objectives[1], c * s.objectives[0] + d * s.objectives[1]))
-        for s in instance.solutions
-    )
-    return Instance(MIN, sols)
 
 
 def cone_efficient_set(instance: Instance, params: ConeParams) -> set[str]:

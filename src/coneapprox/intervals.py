@@ -1,5 +1,9 @@
 """The single rotation interval a solution keeps, and the kernel that finds it.
 
+PhiIntervalSet is what optimal_phi_set and rotation_coverage_gaps return:
+an ambient rotation range and at most one closed interval inside it, read
+through is_empty, is_full, contains and total_length.
+
 Each other image removes its window [-theta, gamma - theta] from the
 admissible range (see geometry.rotation_window).  A window is gamma long and
 the range only gamma - pi/2, so a clipped window is empty, a prefix [a0, h],
@@ -37,18 +41,6 @@ class PhiIntervalSet:
     ambient: Interval
     interval: Interval | None = None
 
-    @classmethod
-    def full(cls, ambient: Interval) -> "PhiIntervalSet":
-        return cls(ambient, ambient)
-
-    @classmethod
-    def empty(cls, ambient: Interval) -> "PhiIntervalSet":
-        return cls(ambient)
-
-    @property
-    def intervals(self) -> tuple[Interval, ...]:
-        return () if self.interval is None else (self.interval,)
-
     def is_empty(self) -> bool:
         return self.interval is None
 
@@ -62,8 +54,6 @@ class PhiIntervalSet:
     def total_length(self) -> float:
         """Length of the interval; 0.0 if the set is empty."""
         return 0.0 if self.interval is None else self.interval[1] - self.interval[0]
-
-    min_length = total_length
 
     def contains(self, phi: float, tol: float = TAU_ANGLE) -> bool:
         return self.interval is not None and self.interval[0] - tol <= phi <= self.interval[1] + tol

@@ -6,8 +6,6 @@ finite instance this is decided exactly: each other solution dominates on a
 single closed rotation window (see geometry.rotation_window), and what the
 windows leave of the admissible range is always a single interval, found in
 one vectorized O(n) pass per solution (see intervals.surviving_intervals).
-A sampled grid oracle is provided for testing; it can only under-approximate
-the exact set since it evaluates optimality at finitely many rotations.
 
 Inner angle pi/2 recovers the efficient set, inner angle pi the classical
 supported solutions (optima of positively weighted sums).
@@ -19,9 +17,8 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParams
-from .geometry import ConeParams, admissible_range
-from .instances import Instance, cone_efficient_set
+from .geometry import admissible_range
+from .instances import Instance
 from .intervals import PhiIntervalSet, surviving_intervals
 from .tolerances import TAU_ANGLE
 
@@ -56,10 +53,6 @@ def optimal_phi_set(instance: Instance, gamma: float, solution_id: str) -> PhiIn
     return PhiIntervalSet(ambient, (float(lo[0]), float(hi[0])) if alive[0] else None)
 
 
-def is_gamma_supported(instance: Instance, gamma: float, solution_id: str) -> bool:
-    return not optimal_phi_set(instance, gamma, solution_id).is_empty()
-
-
 def gamma_supported_set(instance: Instance, gamma: float) -> set[str]:
     """Ids of all solutions optimal for some cone of the given inner angle."""
     _, _, alive = _optimal_rotations(instance, gamma, slice(None))
@@ -69,27 +62,3 @@ def gamma_supported_set(instance: Instance, gamma: float) -> set[str]:
 def supported_set(instance: Instance) -> set[str]:
     """Classical supported solutions: the inner angle pi case."""
     return gamma_supported_set(instance, math.pi)
-
-
-def grid_oracle_gamma_supported(instance: Instance, gamma: float, steps: int) -> set[str]:
-    """Union of cone-order efficient sets over `steps` equally spaced rotations.
-
-    Testing oracle: a subset of the exact set, with equality whenever every
-    nonempty rotation interval of the exact computation is at least one grid
-    pitch long.  At gamma = pi the grid is inset a little further from the
-    excluded endpoints: right at the shrunk boundary the weighted sum carries
-    so little of one objective that the value tolerance declares spurious
-    ties.
-    """
-    if steps < 2:
-        raise InvalidParams("grid oracle needs at least 2 steps")
-    lo, hi = admissible_range(gamma)
-    if gamma >= math.pi - TAU_ANGLE:
-        inset = 1e-6 * (hi - lo)
-        lo, hi = lo + inset, hi - inset
-    out: set[str] = set()
-    for phi in np.linspace(lo, hi, steps):
-        out |= cone_efficient_set(instance, ConeParams(gamma, float(phi)))
-        if len(out) == len(instance.solutions):
-            break
-    return out

@@ -5,6 +5,10 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 import coneapprox as ca
+from coneapprox.errors import InvalidParams
+from coneapprox.geometry import ConeParams, admissible_range
+from coneapprox.instances import Instance, cone_efficient_set
+from coneapprox.tolerances import TAU_ANGLE
 
 settings.register_profile(
     "default",
@@ -78,6 +82,14 @@ def brute_efficient(instance: ca.Instance) -> set[str]:
     return {a for a in ids if not any(b != a and ca.dominates(instance, b, a) for b in ids)}
 
 
+def transformed_instance(instance: ca.Instance, params: ca.ConeParams) -> ca.Instance:
+    """The instance with every image pushed through the cone's reduction map,
+    one scalar ca.transform call per solution."""
+    return ca.Instance(
+        instance.sense, tuple(ca.Solution(s.id, ca.transform(params, s.objectives)) for s in instance.solutions)
+    )
+
+
 def oracle_transform(gamma: float, phi: float, y: tuple[float, float]) -> tuple[float, float]:
     """The reduction map written out from scratch."""
     phi_p = gamma - 0.5 * math.pi - phi
@@ -108,3 +120,27 @@ def brute_min_alpha(instance: ca.Instance, selection, params: ca.ConeParams | No
             best = min(best, pair)
         worst = max(worst, best)
     return worst
+
+
+def grid_oracle_gamma_supported(instance: Instance, gamma: float, steps: int) -> set[str]:
+    """Union of cone-order efficient sets over `steps` equally spaced rotations.
+
+    Testing oracle: a subset of the exact set, with equality whenever every
+    nonempty rotation interval of the exact computation is at least one grid
+    pitch long.  At gamma = pi the grid is inset a little further from the
+    excluded endpoints: right at the shrunk boundary the weighted sum carries
+    so little of one objective that the value tolerance declares spurious
+    ties.
+    """
+    if steps < 2:
+        raise InvalidParams("grid oracle needs at least 2 steps")
+    lo, hi = admissible_range(gamma)
+    if gamma >= math.pi - TAU_ANGLE:
+        inset = 1e-6 * (hi - lo)
+        lo, hi = lo + inset, hi - inset
+    out: set[str] = set()
+    for phi in np.linspace(lo, hi, steps):
+        out |= cone_efficient_set(instance, ConeParams(gamma, float(phi)))
+        if len(out) == len(instance.solutions):
+            break
+    return out

@@ -11,6 +11,9 @@ TAU_ANGLE are dropped, and subtrahends not longer than TAU_ANGLE are
 invisible.  A degenerate ambient range (gamma = pi/2, where phi = 0 is the
 only admissible rotation) is kept as the single point interval and is
 emptied by any subtrahend touching it.
+
+dominating_rotations() is the one-window building block: the rotations at
+which a single direction lies in the cone.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import math
 from dataclasses import dataclass
 
 import coneapprox as ca
-from coneapprox.geometry import rotation_window
+from coneapprox.geometry import Vector2, admissible_range, rotation_window
+from coneapprox.intervals import PhiIntervalSet
 from coneapprox.tolerances import TAU_ANGLE, TAU_VAL
 
 Interval = tuple[float, float]
@@ -148,3 +152,20 @@ def ref_rotation_coverage_gaps(
                 break
         gaps[sol.id] = uncovered
     return gaps
+
+
+def dominating_rotations(gamma: float, d: Vector2) -> PhiIntervalSet:
+    """All admissible rotations phi for which d lies in the cone (gamma, phi).
+
+    The rotation window of d clipped to the admissible range: empty, a
+    single closed interval (possibly a point), or the whole range.  Raises
+    ZeroDirection for d = (0, 0), since callers use this to invert dominance
+    queries and equal images never dominate.
+    """
+    ambient = admissible_range(gamma)
+    raw_lo, raw_hi = rotation_window(gamma, d)
+    lo = max(ambient[0], raw_lo)
+    hi = min(ambient[1], raw_hi)
+    if lo > hi:
+        return PhiIntervalSet(ambient)
+    return PhiIntervalSet(ambient, (lo, hi))

@@ -212,7 +212,7 @@ class TestRotationCoverageGaps:
             report = ca.verify_approx_set(inst, selection, 1.2, ca.ConeParams(gamma, phi))
             uncovered = {sid for sid, g in gaps.items() if g.contains(phi, tol=0.0)}
             near_edge = any(
-                abs(phi - e) < 1e-7 for g in gaps.values() for iv in g.intervals for e in iv
+                abs(phi - e) < 1e-7 for g in gaps.values() for e in g.interval or ()
             )
             if near_edge:
                 continue

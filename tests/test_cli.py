@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import coneapprox as ca
-from coneapprox.cli import SWEEP_HEADER, main, parse_angle, parse_generator_spec, read_sweep_csv
+from coneapprox.cli import SWEEP_HEADER, main, parse_angle, parse_generator_spec, read_sweep_csv, write_sweep_csv
 from coneapprox.errors import InadmissibleCone, InvalidParams
 from coneapprox.svg import svg_to_data
 
@@ -253,6 +253,24 @@ class TestSweepAndPlot:
         bad2.write_text("gamma,instance_id,empirical_alpha,theory_bound,rule_of_thumb\nx,y,z,w,v\n")
         assert run(["plot", str(bad2), str(tmp_path / "o2.svg")]) == 2
 
+    @pytest.mark.parametrize("row", ["nan,x,inf,2.0,2.0", "1.8,x,,inf,2.0", "1.8,x,,2.0,-inf", "1.8,x,nan,2.0,2.0"])
+    def test_plot_rejects_nonfinite(self, row, tmp_path, capsys):
+        csv_path = tmp_path / "nonfinite.csv"
+        csv_path.write_text(f"{SWEEP_HEADER}\n{row}\n")
+        svg_path = tmp_path / "o.svg"
+        assert run(["plot", str(csv_path), str(svg_path)]) == 2
+        assert "not a finite number" in capsys.readouterr().err
+        assert not svg_path.exists()
+
+    def test_written_rows_read_back(self, tmp_path):
+        rows = [
+            {"gamma": 0.75 * PI, "instance_id": "a,b", "empirical_alpha": 1.25,
+             "theory_bound": ca.guarantee_factor(0.75 * PI), "rule_of_thumb": 1.5},
+            {"gamma": PI, "instance_id": "c", "empirical_alpha": 1.0, "theory_bound": 2.0, "rule_of_thumb": 2.0},
+        ]
+        write_sweep_csv(str(tmp_path / "w.csv"), rows)
+        assert read_sweep_csv(str(tmp_path / "w.csv")) == rows
+
     def test_plot_deterministic(self, tmp_path):
         csv_path = tmp_path / "s.csv"
         run(["sweep", "--steps", "3", "--generator", "tightness:alpha=1,epsilon=0.2", str(csv_path)])
@@ -293,6 +311,13 @@ class TestGeneratorSpec:
         with pytest.raises(InvalidParams):
             parse_generator_spec("convex:n=three")
 
+    def test_angles_read_like_generate(self):
+        family, kwargs = parse_generator_spec("single-cone:alpha=2,phi=0.1pi,gamma=2.5")
+        assert family == "single-cone"
+        assert kwargs == {"alpha": 2.0, "phi": 0.1 * PI, "gamma": 2.5}
+        with pytest.raises(InadmissibleCone):
+            parse_generator_spec("single-cone:alpha=2,phi=huh")
+
 
 def test_unparsable_angle_is_inadmissible_cone():
     with pytest.raises(InadmissibleCone):
@@ -325,11 +350,14 @@ EXIT_CONTRACT = [
     ("sweep --steps 2 --generator nope {out_csv}", 2),
     ("sweep --steps 2 --generator convex:n=3 {out_csv}", 0),
     ("sweep --steps 2 --generator tightness:alpha=1,epsilon=0.1,gamma=2 {out_csv}", 2),
+    ("sweep --gamma-from 0.75pi --steps 2 --generator single-cone:alpha=2,phi=0.1pi {out_csv}", 0),
+    ("sweep --gamma-from 0.75pi --steps 2 --generator single-cone:alpha=2,phi=huh {out_csv}", 1),
     ("bounds --steps 3", 0),
     ("bounds --gamma-to 1.5pi", 1),
     ("bounds --steps 3 -o {unwritable}", 2),
     ("plot {sweep_csv} {out_svg}", 0),
     ("plot {inst} {out_svg}", 2),
+    ("plot {nonfinite_csv} {out_svg}", 2),
 ]
 
 
@@ -350,6 +378,8 @@ def test_exit_code_contract(template, code, tmp_path, example1_file):
     bad.write_text('{"sense": "min", "solutions": [{"id": "a", "f": [1, -2]}]}')
     sweep_csv = tmp_path / "sweep.csv"
     sweep_csv.write_text(f"{SWEEP_HEADER}\n{PI!r},bounds,,2.0,2.0\n")
+    nonfinite_csv = tmp_path / "nonfinite.csv"
+    nonfinite_csv.write_text(f"{SWEEP_HEADER}\nnan,x,inf,2.0,2.0\n")
     paths = {
         "inst": example1_file,
         "bad_inst": bad,
@@ -359,6 +389,7 @@ def test_exit_code_contract(template, code, tmp_path, example1_file):
         "out_svg": tmp_path / "out.svg",
         "unwritable": tmp_path / "no" / "dir" / "x.csv",
         "sweep_csv": sweep_csv,
+        "nonfinite_csv": nonfinite_csv,
     }
     assert run(template.format(**paths).split()) == code
 

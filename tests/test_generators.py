@@ -219,6 +219,12 @@ class TestFamilyRegistry:
         assert gen.make_family_instance("convex", n=4) == gen.random_front(4, 0, "convex")
         assert gen.make_family_instance("knapsack", k=3) == gen.knapsack_enumeration(3, 0)
 
+    def test_shape_is_fixed_per_family(self):
+        for family in ("convex", "concave", "mixed"):
+            with pytest.raises(InvalidParams, match="shape"):
+                gen.make_family_instance(family, n=3, shape="concave")
+            assert gen.make_family_instance(family, n=7, seed=3) == gen.random_front(7, 3, family)
+
     def test_unknown_family(self):
         with pytest.raises(InvalidParams):
             gen.make_family_instance("nope")

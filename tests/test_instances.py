@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 
 import coneapprox as ca
-from coneapprox.errors import InstanceFormatError, UnknownId, UnsupportedSense
+from coneapprox.errors import InstanceFormatError, UnknownId
 
-from conftest import brute_efficient, cone_params, min_instances, random_min_instance
+from conftest import brute_efficient, cone_params, min_instances, random_min_instance, transformed_instance
 
 PI = math.pi
 
@@ -117,28 +117,23 @@ class TestEfficientSet:
 class TestTransformInstance:
     def test_pareto_unchanged(self):
         inst = example1_instance()
-        out = ca.transform_instance(inst, ca.ConeParams.pareto())
+        out = transformed_instance(inst, ca.ConeParams.pareto())
         assert out == inst
 
     def test_hand_values(self):
-        out = ca.transform_instance(example1_instance(), ca.ConeParams(3 * PI / 4, PI / 4))
+        out = transformed_instance(example1_instance(), ca.ConeParams(3 * PI / 4, PI / 4))
         objs = dict((s.id, s.objectives) for s in out.solutions)
         assert objs["x1"] == pytest.approx((1.0, math.sqrt(2)), abs=1e-12)
         assert objs["x2"] == pytest.approx((2.0, 7 * math.sqrt(2) / 6), abs=1e-12)
 
     def test_halfplane_collapses(self):
         inst = ca.make_instance("min", [("a", 1.0, 1.0)])
-        out = ca.transform_instance(inst, ca.ConeParams(PI, PI / 4))
+        out = transformed_instance(inst, ca.ConeParams(PI, PI / 4))
         assert out.solutions[0].objectives == pytest.approx((math.sqrt(2), math.sqrt(2)), abs=1e-12)
-
-    def test_max_sense_rejected(self):
-        inst = ca.make_instance("max", [("a", 1.0, 1.0)])
-        with pytest.raises(UnsupportedSense):
-            ca.transform_instance(inst, ca.ConeParams.pareto())
 
     @given(min_instances(), cone_params())
     def test_positivity_preserved(self, inst, params):
-        assert ca.validate(ca.transform_instance(inst, params)) == []
+        assert ca.validate(transformed_instance(inst, params)) == []
 
 
 class TestConeEfficientSet:
@@ -154,7 +149,7 @@ class TestConeEfficientSet:
     @given(min_instances(), cone_params())
     def test_equals_efficient_of_transformed(self, inst, params):
         got = ca.cone_efficient_set(inst, params)
-        assert got == ca.efficient_set(ca.transform_instance(inst, params))
+        assert got == ca.efficient_set(transformed_instance(inst, params))
 
     def test_halfplane_tie_keeps_all(self):
         inst = ca.make_instance("min", [("a", 1.0, 3.0), ("b", 2.0, 2.0), ("c", 3.0, 1.0)])

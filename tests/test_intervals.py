@@ -13,10 +13,10 @@ from reference_intervals import SequentialIntervalSet
 
 def test_full_and_empty():
     amb = (0.0, 1.0)
-    assert PhiIntervalSet.full(amb).is_full()
-    assert not PhiIntervalSet.full(amb).is_empty()
-    assert PhiIntervalSet.empty(amb).is_empty()
-    assert PhiIntervalSet.full(amb).total_length() == 1.0
+    assert PhiIntervalSet(amb, amb).is_full()
+    assert not PhiIntervalSet(amb, amb).is_empty()
+    assert PhiIntervalSet(amb).is_empty()
+    assert PhiIntervalSet(amb, amb).total_length() == 1.0
 
 
 def test_subtract_middle_splits():
@@ -81,8 +81,8 @@ def test_contains_tolerance():
     assert not s.contains(0.5)
 
 
-def test_min_length_empty_is_zero():
-    assert PhiIntervalSet.empty((0.0, 1.0)).min_length() == 0.0
+def test_total_length_empty_is_zero():
+    assert PhiIntervalSet((0.0, 1.0)).total_length() == 0.0
 
 
 # --- surviving_intervals: the single-interval kernel ----------------------------

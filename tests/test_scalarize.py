@@ -15,7 +15,7 @@ from coneapprox.errors import (
     UnsupportedSense,
 )
 
-from conftest import lattice_floats, min_instances, random_min_instance
+from conftest import lattice_floats, min_instances, random_min_instance, transformed_instance
 
 PI = math.pi
 
@@ -267,7 +267,7 @@ class TestMaxOrderingCoverage:
         target = ca.Solution("matched", (scale * r, scale))
         inst = ca.Instance("min", inst.solutions + (target,))
         w = ca.balanced_weights(params)
-        transformed = ca.transform_instance(inst, params)
+        transformed = transformed_instance(inst, params)
         cone_factor = alpha * (
             1.0 + math.sqrt(math.tan(params.phi) * math.tan(params.phi_prime))
         )

@@ -9,7 +9,7 @@ import coneapprox as ca
 from coneapprox.errors import InvalidParams, UnknownId
 from coneapprox.generators import every_rotation_trap, maximization_trap
 
-from conftest import min_instances, random_min_instance
+from conftest import grid_oracle_gamma_supported, min_instances, random_min_instance
 
 PI = math.pi
 
@@ -55,7 +55,7 @@ class TestOptimalPhiSet:
             eff = ca.cone_efficient_set(inst, ca.ConeParams(gamma, phi))
             for sid, good in sets.items():
                 near_edge = any(
-                    abs(phi - e) < 1e-7 for iv in good.intervals for e in iv
+                    abs(phi - e) < 1e-7 for e in good.interval or ()
                 )
                 if near_edge:
                     continue
@@ -75,7 +75,7 @@ class TestGammaSupported:
     def test_concave_interior_unsupported_but_efficient(self):
         inst = concave_three()
         assert ca.efficient_set(inst) == {"x1", "x2", "x3"}
-        assert not ca.is_gamma_supported(inst, PI, "x3")
+        assert ca.optimal_phi_set(inst, PI, "x3").is_empty()
 
     def test_collinear_front_all_supported(self):
         inst = ca.make_instance(
@@ -89,11 +89,11 @@ class TestGammaSupported:
 
     def test_always_optimal_instance(self):
         inst = every_rotation_trap(1.5, 3 * PI / 4)
-        assert ca.is_gamma_supported(inst, 3 * PI / 4, "x1")
+        assert not ca.optimal_phi_set(inst, 3 * PI / 4, "x1").is_empty()
 
     def test_maximization_instance_not_supported(self):
         inst = maximization_trap(2.0, 3 * PI / 4)
-        assert not ca.is_gamma_supported(inst, 3 * PI / 4, "x3")
+        assert ca.optimal_phi_set(inst, 3 * PI / 4, "x3").is_empty()
 
     @given(min_instances(min_size=1, max_size=10))
     def test_supported_subset_of_efficient(self, inst):
@@ -113,16 +113,16 @@ class TestGammaSupported:
 class TestGridOracle:
     def test_needs_two_steps(self):
         with pytest.raises(InvalidParams):
-            ca.grid_oracle_gamma_supported(concave_three(), PI, 1)
+            grid_oracle_gamma_supported(concave_three(), PI, 1)
 
     def test_pareto_any_steps(self):
         inst = concave_three()
-        assert ca.grid_oracle_gamma_supported(inst, PI / 2, 2) == ca.efficient_set(inst)
-        assert ca.grid_oracle_gamma_supported(inst, PI / 2, 50) == ca.efficient_set(inst)
+        assert grid_oracle_gamma_supported(inst, PI / 2, 2) == ca.efficient_set(inst)
+        assert grid_oracle_gamma_supported(inst, PI / 2, 50) == ca.efficient_set(inst)
 
     def test_always_optimal_contains_x1(self):
         inst = every_rotation_trap(2.0, 3 * PI / 4)
-        assert "x1" in ca.grid_oracle_gamma_supported(inst, 3 * PI / 4, 100)
+        assert "x1" in grid_oracle_gamma_supported(inst, 3 * PI / 4, 100)
 
     def test_sandwich(self):
         for seed in range(15):
@@ -130,7 +130,7 @@ class TestGridOracle:
             for gamma in (2 * PI / 3, PI):
                 exact = ca.gamma_supported_set(inst, gamma)
                 for steps in (10, 100, 1000):
-                    oracle = ca.grid_oracle_gamma_supported(inst, gamma, steps)
+                    oracle = grid_oracle_gamma_supported(inst, gamma, steps)
                     assert oracle <= exact
 
     def test_equality_at_fine_pitch(self):
@@ -142,9 +142,9 @@ class TestGridOracle:
             pitch = (hi - lo) / (steps - 1)
             exact = ca.gamma_supported_set(inst, gamma)
             min_len = min(
-                ca.optimal_phi_set(inst, gamma, sid).min_length() for sid in exact
+                ca.optimal_phi_set(inst, gamma, sid).total_length() for sid in exact
             )
-            oracle = ca.grid_oracle_gamma_supported(inst, gamma, steps)
+            oracle = grid_oracle_gamma_supported(inst, gamma, steps)
             assert oracle <= exact
             if min_len > 1.05 * pitch:
                 assert oracle == exact
