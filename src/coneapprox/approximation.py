@@ -12,11 +12,18 @@ factor at which c covers t is the largest componentwise ratio of the
 unscaled to the scaled (transformed) image, so the exact minimal factor of a
 whole selection is a max-min-max expression over those ratios.
 
+There is one cover rule at a fixed order: c covers t at alpha exactly when
+that exact factor is <= alpha + TAU_VAL, a slack relative to the factor and
+so to the scale of f(t).  is_alpha_approx_pair is the one-candidate case of
+verify_approx_set and min_alpha; all three read one factor matrix.
+
 rotation_coverage_gaps() decides "covered at every admissible rotation"
 exactly, with the same single-interval kernel as supportedness: at fixed
 alpha, the rotations at which c covers t form one closed window, and what
 the windows of a whole selection leave uncovered is again one interval,
-found in one vectorized O(|selection|) pass per solution.
+found in one vectorized O(|selection|) pass per solution.  That decision
+does not read factors: it applies the window rules of intervals (TAU_ANGLE
+on window and gap lengths, images coinciding within an absolute TAU_VAL).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaBelowOne, EmptySelection
-from .geometry import ConeParams, Vector2, admissible_range, cone_contains
+from .geometry import ConeParams, Vector2, admissible_range
 from .instances import MAX, Instance
 from .intervals import PhiIntervalSet, surviving_intervals
 from .tolerances import TAU_VAL
@@ -76,6 +83,23 @@ def _scaled_first(instance: Instance, target: np.ndarray, candidate: np.ndarray)
     return (candidate, target) if instance.sense == MAX else (target, candidate)
 
 
+def _selection(instance: Instance, selection: set[str] | list[str], caller: str) -> tuple[list[str], list[int]]:
+    """The selection's ids sorted and their rows; EmptySelection names `caller`."""
+    sel = sorted(selection)
+    if not sel:
+        raise EmptySelection(f"{caller} needs a nonempty selection")
+    return sel, [instance.index_of(s) for s in sel]
+
+
+def _factors(instance: Instance, selection: set[str] | list[str], params: ConeParams | None, caller: str):
+    """The sorted selection and its matrix of smallest covering factors,
+    selection rows by instance columns."""
+    sel, rows = _selection(instance, selection, caller)
+    images = instance.min_images(params)
+    scaled, unscaled = _scaled_first(instance, images[np.newaxis, :, :], images[rows][:, np.newaxis, :])
+    return sel, (unscaled / scaled).max(axis=2)
+
+
 def is_alpha_approx_pair(
     instance: Instance,
     params: ConeParams | None,
@@ -87,25 +111,12 @@ def is_alpha_approx_pair(
 
     Minimization: f(by) precedes alpha * f(target); maximization:
     alpha * f(by) weakly exceeds f(target).  params = None means the
-    componentwise order.
+    componentwise order.  This is the one-candidate case of
+    verify_approx_set: the exact factor must be <= alpha + TAU_VAL.
     """
     check_alpha(alpha)
-    images = instance.min_images()
-    candidate = images[instance.index_of(by)]
-    scaled, unscaled = _scaled_first(instance, images[instance.index_of(target)], candidate)
-    target_side, candidate_side = _scaled_first(instance, alpha * scaled, unscaled)
-    d1, d2 = (target_side - candidate_side).tolist()
-    if params is None:
-        return d1 >= -TAU_VAL and d2 >= -TAU_VAL
-    return cone_contains(params, (d1, d2))
-
-
-def _pairwise_factors(instance: Instance, selection: list[str], params: ConeParams | None) -> np.ndarray:
-    """Matrix of smallest covering factors, selection rows by instance columns."""
-    images = instance.min_images(params)
-    chosen = images[[instance.index_of(s) for s in selection]]
-    scaled, unscaled = _scaled_first(instance, images[np.newaxis, :, :], chosen[:, np.newaxis, :])
-    return (unscaled / scaled).max(axis=2)
+    _, factors = _factors(instance, [by], params, "is_alpha_approx_pair")
+    return bool(factors[0, instance.index_of(target)] <= alpha + TAU_VAL)
 
 
 def min_alpha(instance: Instance, selection: set[str] | list[str], params: ConeParams | None = None) -> float:
@@ -115,10 +126,7 @@ def min_alpha(instance: Instance, selection: set[str] | list[str], params: ConeP
     factor); well defined because all (transformed) objectives are strictly
     positive.
     """
-    sel = sorted(selection)
-    if not sel:
-        raise EmptySelection("min_alpha needs a nonempty selection")
-    return float(_pairwise_factors(instance, sel, params).min(axis=0).max())
+    return float(_factors(instance, selection, params, "min_alpha")[1].min(axis=0).max())
 
 
 def verify_approx_set(
@@ -129,10 +137,7 @@ def verify_approx_set(
 ) -> ApproxReport:
     """Check that the selection covers every solution at factor alpha."""
     check_alpha(alpha)
-    sel = sorted(selection)
-    if not sel:
-        raise EmptySelection("verify_approx_set needs a nonempty selection")
-    factors = _pairwise_factors(instance, sel, params)
+    sel, factors = _factors(instance, selection, params, "verify_approx_set")
     best = factors.min(axis=0)
     best_idx = factors.argmin(axis=0)
     worst = float(best.max())
@@ -173,12 +178,10 @@ def rotation_coverage_gaps(
     iff all gap sets are empty.
     """
     check_alpha(alpha)
-    sel = sorted(selection)
-    if not sel:
-        raise EmptySelection("rotation_coverage_gaps needs a nonempty selection")
+    _, picks = _selection(instance, selection, "rotation_coverage_gaps")
     ambient = admissible_range(gamma)
     images = instance.min_images()
-    scaled, unscaled = _scaled_first(instance, images, images[[instance.index_of(s) for s in sel]])
+    scaled, unscaled = _scaled_first(instance, images, images[picks])
     rows, cols = _scaled_first(instance, alpha * scaled, unscaled)
     lo, hi, alive = surviving_intervals(rows, cols, gamma, ambient, keep_ties=False, coincide_covers=True)
     return {

@@ -41,6 +41,7 @@ from .geometry import ConeParams, admissible_range
 from .instances import Instance, dump_instance, efficient_set, instance_to_obj, load_instance, validate
 from .supportedness import gamma_supported_set, supported_set
 from .svg import render_sweep_svg
+from .tolerances import TAU_VAL
 
 SWEEP_HEADER = "gamma,instance_id,empirical_alpha,theory_bound,rule_of_thumb"
 
@@ -232,7 +233,9 @@ def read_sweep_csv(path: str) -> list[dict]:
     """Rows of a sweep CSV; an empty empirical_alpha reads as NaN (no point).
 
     A wrong header, an unreadable file or a row with a missing, unparsable or
-    non-finite number raises InstanceFormatError.
+    non-finite number raises InstanceFormatError, and so does a finite value
+    outside the figure's domain: an inner angle outside [pi/2, pi], a factor
+    below 1, or a field beyond the header.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -245,17 +248,22 @@ def read_sweep_csv(path: str) -> list[dict]:
     rows = []
     for raw in raw_rows:
         try:
-            rows.append(
-                {
-                    "gamma": _finite(raw["gamma"]),
-                    "instance_id": raw["instance_id"],
-                    "empirical_alpha": _finite(raw["empirical_alpha"]) if raw["empirical_alpha"] else math.nan,
-                    "theory_bound": _finite(raw["theory_bound"]),
-                    "rule_of_thumb": _finite(raw["rule_of_thumb"]),
-                }
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            row = {
+                "gamma": _finite(raw["gamma"]),
+                "instance_id": raw["instance_id"],
+                "empirical_alpha": _finite(raw["empirical_alpha"]) if raw["empirical_alpha"] else math.nan,
+                "theory_bound": _finite(raw["theory_bound"]),
+                "rule_of_thumb": _finite(raw["rule_of_thumb"]),
+            }
+            if None in raw:
+                raise ValueError(f"fields beyond the header: {raw[None]!r}")
+            admissible_range(row["gamma"])
+            for name in ("empirical_alpha", "theory_bound", "rule_of_thumb"):
+                if row[name] < 1.0 - TAU_VAL:
+                    raise ValueError(f"{name} {row[name]!r} is below 1")
+        except (KeyError, TypeError, ValueError, InadmissibleCone) as exc:
             raise InstanceFormatError(f"bad sweep CSV row {raw!r}: {exc}") from exc
+        rows.append(row)
     return rows
 
 

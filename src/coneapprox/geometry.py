@@ -37,20 +37,16 @@ def admissible(gamma: float, phi: float) -> bool:
     """Whether (gamma, phi) describes a cone that contains the nonnegative
     orthant and meets the negative orthant only at the origin.
 
-    Pure predicate; comparisons are relaxed by TAU_ANGLE.  For gamma = pi
-    the rotations 0 and pi/2 are excluded (those halfplanes contain a
-    negative direction).
+    Pure predicate over admissible_range(gamma), whose ends are relaxed by
+    TAU_ANGLE below gamma = pi; at pi they already exclude the rotations 0
+    and pi/2 (those halfplanes contain a negative direction).
     """
-    if not (math.isfinite(gamma) and math.isfinite(phi)):
+    try:
+        lo, hi = admissible_range(gamma)
+    except InadmissibleCone:
         return False
-    if gamma < HALF_PI - TAU_ANGLE or gamma > math.pi + TAU_ANGLE:
-        return False
-    hi = gamma - HALF_PI
-    if phi < -TAU_ANGLE or phi > hi + TAU_ANGLE:
-        return False
-    if gamma >= math.pi - TAU_ANGLE and (phi < TAU_ANGLE or phi > hi - TAU_ANGLE):
-        return False
-    return True
+    slack = 0.0 if gamma >= math.pi - TAU_ANGLE else TAU_ANGLE
+    return lo - slack <= phi <= hi + slack
 
 
 def admissible_range(gamma: float) -> tuple[float, float]:

@@ -49,6 +49,43 @@ class TestPairPredicate:
         with pytest.raises(UnknownId):
             ca.is_alpha_approx_pair(inst, None, "zz", "x1", 1.0)
 
+    @given(
+        min_instances(min_size=1, max_size=6, senses=BOTH),
+        st.integers(-3, 3),
+        st.none() | cone_params(),
+        st.sampled_from([1.0, 1.5, 2.0]) | st.floats(1.0, 3.0),
+    )
+    def test_agrees_with_verify_approx_set(self, inst, k, params, alpha):
+        # The pair predicate is the one-candidate case of the set verdict, at
+        # every scale of the objectives.
+        scale = 10.0**k
+        items = [(s.id, s.objectives[0] * scale, s.objectives[1] * scale) for s in inst.solutions]
+        inst = ca.make_instance(inst.sense, items)
+        for by in inst.ids():
+            report = ca.verify_approx_set(inst, [by], alpha, params)
+            uncovered = {u for u, _ in report.witnesses}
+            for target in inst.ids():
+                assert ca.is_alpha_approx_pair(inst, params, by, target, alpha) == (target not in uncovered)
+
+
+# (sense, f(target), f(candidate), whether the candidate covers the target at
+# factor 2): exact factors just above 2 but within TAU_VAL of it, and one just
+# beyond, where an absolute tolerance on the difference alpha * f(t) - f(c)
+# used to give the opposite verdict.
+PAIR_AT_SCALE = [
+    ("min", (1000.0, 1000.0), (2000.0 + 5e-7, 1.0), True),
+    ("min", (1e-3, 1e-3), (2e-3 + 5e-10, 1e-4), False),
+    ("max", (1000.0, 1000.0), (500.0 - 1e-7, 2000.0), True),
+]
+
+
+@pytest.mark.parametrize("sense,target,candidate,covers", PAIR_AT_SCALE)
+def test_pair_and_set_agree_at_scale(sense, target, candidate, covers):
+    inst = ca.make_instance(sense, [("t", *target), ("c", *candidate)])
+    report = ca.verify_approx_set(inst, ["c"], 2.0)
+    assert report.is_valid == covers
+    assert ca.is_alpha_approx_pair(inst, None, "c", "t", 2.0) == covers
+
 
 @pytest.mark.parametrize(
     "call",

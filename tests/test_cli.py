@@ -253,7 +253,11 @@ class TestSweepAndPlot:
         bad2.write_text("gamma,instance_id,empirical_alpha,theory_bound,rule_of_thumb\nx,y,z,w,v\n")
         assert run(["plot", str(bad2), str(tmp_path / "o2.svg")]) == 2
 
-    @pytest.mark.parametrize("row", ["nan,x,inf,2.0,2.0", "1.8,x,,inf,2.0", "1.8,x,,2.0,-inf", "1.8,x,nan,2.0,2.0"])
+    # The last row is also outside the domain; the finiteness check comes first.
+    @pytest.mark.parametrize(
+        "row",
+        ["nan,x,inf,2.0,2.0", "1.8,x,,inf,2.0", "1.8,x,,2.0,-inf", "1.8,x,nan,2.0,2.0", "100.0,x,nan,0.5,2.0,EXTRA"],
+    )
     def test_plot_rejects_nonfinite(self, row, tmp_path, capsys):
         csv_path = tmp_path / "nonfinite.csv"
         csv_path.write_text(f"{SWEEP_HEADER}\n{row}\n")
@@ -261,6 +265,31 @@ class TestSweepAndPlot:
         assert run(["plot", str(csv_path), str(svg_path)]) == 2
         assert "not a finite number" in capsys.readouterr().err
         assert not svg_path.exists()
+
+    @pytest.mark.parametrize(
+        "row,problem",
+        [
+            ("100.0,x,0.5,-3.0,2.0", "outside [pi/2, pi]"),
+            ("1.0,x,,1.2,1.2", "outside [pi/2, pi]"),
+            ("1.8,x,0.5,2.0,2.0", "empirical_alpha 0.5 is below 1"),
+            ("1.8,x,,0.99,2.0", "theory_bound 0.99 is below 1"),
+            ("1.8,x,,2.0,-3.0", "rule_of_thumb -3.0 is below 1"),
+            ("2.0,x,1.5,1.6,1.3,EXTRA", "fields beyond the header"),
+        ],
+    )
+    def test_plot_rejects_outside_domain(self, row, problem, tmp_path, capsys):
+        csv_path = tmp_path / "outside.csv"
+        csv_path.write_text(f"{SWEEP_HEADER}\n{row}\n")
+        svg_path = tmp_path / "o.svg"
+        assert run(["plot", str(csv_path), str(svg_path)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not svg_path.exists()
+
+    def test_plot_accepts_empirical_above_two(self, tmp_path):
+        # A factor above the guarantee is a result to plot, not a malformed row.
+        csv_path = tmp_path / "high.csv"
+        csv_path.write_text(f"{SWEEP_HEADER}\n{PI!r},x,3.5,2.0,2.0\n")
+        assert run(["plot", str(csv_path), str(tmp_path / "o.svg")]) == 0
 
     def test_written_rows_read_back(self, tmp_path):
         rows = [
@@ -358,6 +387,9 @@ EXIT_CONTRACT = [
     ("plot {sweep_csv} {out_svg}", 0),
     ("plot {inst} {out_svg}", 2),
     ("plot {nonfinite_csv} {out_svg}", 2),
+    ("plot {wide_gamma_csv} {out_svg}", 2),
+    ("plot {low_factor_csv} {out_svg}", 2),
+    ("plot {long_row_csv} {out_svg}", 2),
 ]
 
 
@@ -380,6 +412,10 @@ def test_exit_code_contract(template, code, tmp_path, example1_file):
     sweep_csv.write_text(f"{SWEEP_HEADER}\n{PI!r},bounds,,2.0,2.0\n")
     nonfinite_csv = tmp_path / "nonfinite.csv"
     nonfinite_csv.write_text(f"{SWEEP_HEADER}\nnan,x,inf,2.0,2.0\n")
+    outside = {"wide_gamma_csv": "100.0,x,1.5,2.0,2.0", "low_factor_csv": "2.0,x,1.5,1.6,0.5",
+               "long_row_csv": "2.0,x,1.5,1.6,1.3,EXTRA"}
+    for name, row in outside.items():
+        (tmp_path / f"{name}.csv").write_text(f"{SWEEP_HEADER}\n{row}\n")
     paths = {
         "inst": example1_file,
         "bad_inst": bad,
@@ -390,6 +426,7 @@ def test_exit_code_contract(template, code, tmp_path, example1_file):
         "unwritable": tmp_path / "no" / "dir" / "x.csv",
         "sweep_csv": sweep_csv,
         "nonfinite_csv": nonfinite_csv,
+        **{name: tmp_path / f"{name}.csv" for name in outside},
     }
     assert run(template.format(**paths).split()) == code
 
