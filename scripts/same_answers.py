@@ -12,7 +12,9 @@ from the import path, e.g.
 
 Corpus: every generator family, seeded random fronts of each shape and
 seeded lattice fronts with ties, each in both senses, at the inner angles
-pi/2, 0.75pi and pi.
+pi/2, 0.75pi and pi.  A numeric section follows: rotation_for_ratio,
+balanced_weights, the bound table and the distortion identity on a fixed
+grid of inner angles (down to pi/2 + 1e-9) and ratios.
 """
 
 import math
@@ -28,6 +30,16 @@ GAP_ALPHAS = (1.0, 1.1, 1.5)
 PAIR_ALPHAS = (1.0, 1.1, 1.5, 2.0)
 VERIFY_ALPHA = 1.1
 COVER_ALPHAS = (1.0, 1.3)
+NUMERIC_GAMMAS = {
+    "0.5pi+1e-9": 0.5 * math.pi + 1e-9,
+    "0.5pi+1e-6": 0.5 * math.pi + 1e-6,
+    "0.6pi": 0.6 * math.pi,
+    "0.75pi": 0.75 * math.pi,
+    "0.9pi": 0.9 * math.pi,
+    "pi": math.pi,
+}
+NUMERIC_RATIOS = (1e-3, 0.5, 1.0, 3.0, 1e3)
+RESIDUAL_FRACTIONS = (0.01, 0.25, 0.5, 0.99)
 
 FAMILY_PARAMS = {
     "single-cone": {"alpha": 2.0, "gamma": 0.75 * math.pi, "phi": 0.1},
@@ -112,6 +124,27 @@ def answers(name: str, inst: ca.Instance) -> list[str]:
     return lines
 
 
+def weights_at_ratio(gamma: float, q: float) -> tuple:
+    w = ca.balanced_weights(ca.ConeParams(gamma, ca.rotation_for_ratio(gamma, q)))
+    return (w.w1, w.w2)
+
+
+def numeric() -> list[str]:
+    """The numeric lines: matched rotations and weights per (angle, ratio), and
+    per angle the bound-table row and the identity residual at fixed
+    fractions of the admissible range."""
+    lines = []
+    for gname, gamma in NUMERIC_GAMMAS.items():
+        for q in NUMERIC_RATIOS:
+            lines.append(f"numeric rotation_for_ratio@{gname},{q!r} {call(ca.rotation_for_ratio, gamma, q)}")
+            lines.append(f"numeric balanced_weights@{gname},{q!r} {call(weights_at_ratio, gamma, q)}")
+        lines.append(f"numeric BoundTable.csv_row@{gname} {ca.BoundTable.at(gamma).csv_row()}")
+        phis = [f * (gamma - 0.5 * math.pi) for f in RESIDUAL_FRACTIONS]
+        residuals = [call(ca.distortion_identity_residual, gamma, phi) for phi in phis]
+        lines.append(f"numeric distortion_identity_residual@{gname} {fmt(residuals)}")
+    return lines
+
+
 def lattice_front(seed: int, n: int) -> list[tuple[str, float, float]]:
     """Objectives on a coarse 1/8 lattice, so ties and duplicates are common."""
     pts = np.random.default_rng(seed).integers(1, 24, size=(n, 2)) / 8.0
@@ -141,6 +174,8 @@ def main() -> None:
     for name, inst in corpus():
         for line in answers(name, inst):
             print(line)
+    for line in numeric():
+        print(line)
 
 
 if __name__ == "__main__":

@@ -22,8 +22,12 @@ exactly, with the same single-interval kernel as supportedness: at fixed
 alpha, the rotations at which c covers t form one closed window, and what
 the windows of a whole selection leave uncovered is again one interval,
 found in one vectorized O(|selection|) pass per solution.  That decision
-does not read factors: it applies the window rules of intervals (TAU_ANGLE
-on window and gap lengths, images coinciding within an absolute TAU_VAL).
+reads windows, not factors, but takes them at alpha + TAU_VAL, the slack of
+the factor rule: c's window holds a rotation exactly when c's factor over t
+in that rotation's cone order is <= alpha + TAU_VAL, so both decisions
+apply one threshold.  The window rules of intervals apply on top
+(TAU_ANGLE on window and gap lengths, images coinciding within an absolute
+TAU_VAL).
 """
 
 from __future__ import annotations
@@ -170,8 +174,9 @@ def rotation_coverage_gaps(
     """Per solution, the admissible rotations at which nothing covers it.
 
     For each candidate s and target x, s covers x at exactly the rotations
-    whose cone contains alpha * f(x) - f(s) (minimization) or
-    alpha * f(s) - f(x) (maximization); these closed windows are removed
+    whose cone contains a * f(x) - f(s) (minimization) or a * f(s) - f(x)
+    (maximization), with a = alpha + TAU_VAL as in the factor rule of
+    verify_approx_set; these closed windows are removed
     from the admissible range, and a candidate whose scaled image coincides
     with the target's covers it at every rotation.
     The selection is an alpha-approximation for every admissible rotation
@@ -182,7 +187,7 @@ def rotation_coverage_gaps(
     ambient = admissible_range(gamma)
     images = instance.min_images()
     scaled, unscaled = _scaled_first(instance, images, images[picks])
-    rows, cols = _scaled_first(instance, alpha * scaled, unscaled)
+    rows, cols = _scaled_first(instance, (alpha + TAU_VAL) * scaled, unscaled)
     lo, hi, alive = surviving_intervals(rows, cols, gamma, ambient, keep_ties=False, coincide_covers=True)
     return {
         s.id: PhiIntervalSet(ambient, (a, b) if keep else None)
@@ -196,5 +201,9 @@ def is_alpha_approx_for_all_rotations(
     gamma: float,
     alpha: float,
 ) -> bool:
+    """Whether the selection covers every solution at factor alpha in the
+    cone order of every admissible rotation of inner angle gamma: true
+    exactly when rotation_coverage_gaps leaves no gap.
+    """
     gaps = rotation_coverage_gaps(instance, selection, gamma, alpha)
     return all(g.is_empty() for g in gaps.values())

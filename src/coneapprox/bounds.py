@@ -14,8 +14,11 @@ tan g + sqrt(1 + tan^2 g) both cancel catastrophically there):
       = (-cos g)/(1 + sin g)        evaluated as sin u / (1 + cos u)
       = tan g + sqrt(1 + tan^2 g)   evaluated as 1 / (hypot(1, tan g) - tan g)
 
-with u = g - pi/2.  All functions broadcast over numpy arrays and return
-plain floats for scalar input.
+with u = g - pi/2.  The balanced-distortion identity checked by
+distortion_identity_residual is arranged the same way: with
+t = tan(g - pi/2), sqrt(1 + s^2 tan^2 g) + s tan g = t / (s + hypot(s, t)),
+the form scalarize.rotation_for_ratio uses.  All functions broadcast over
+numpy arrays and return plain floats for scalar input.
 """
 
 from __future__ import annotations
@@ -93,9 +96,12 @@ def distortion_identity_residual(gamma, phi):
     """Residual of the closed form for the balanced distortion.
 
     sqrt(tan phi * tan phi') equals sqrt(1 + s^2 tan^2 g) + s tan g with
-    s = (sqrt(tan phi / tan phi') + sqrt(tan phi' / tan phi)) / 2; the
-    returned difference is numerical noise (|residual| well below 1e-9)
-    across the admissible interior.  Requires gamma > pi/2 and a strictly
+    s = (sqrt(tan phi / tan phi') + sqrt(tan phi' / tan phi)) / 2.  The
+    right side is evaluated as t / (s + hypot(s, t)) with t = tan(g - pi/2),
+    which is the same value (tan g = -1/t) without the cancellation of the
+    raw sum near pi/2, and as exactly 1 at pi.  The returned difference is
+    numerical noise (|residual| well below 1e-9) across the admissible
+    interior, right angle included.  Requires gamma > pi/2 and a strictly
     interior rotation.
     """
     g = np.asarray(gamma, dtype=float)
@@ -109,8 +115,8 @@ def distortion_identity_residual(gamma, phi):
     tpp = np.tan(pp)
     ratio = np.sqrt(tp / tpp)
     s = 0.5 * (ratio + 1.0 / ratio)
-    tg = np.where(g >= math.pi - TAU_ANGLE, 0.0, np.tan(g))
-    rhs = np.hypot(1.0, s * tg) + s * tg
+    t = np.tan(g - HALF_PI)
+    rhs = np.where(g >= math.pi - TAU_ANGLE, 1.0, t / (s + np.hypot(s, t)))
     return _ret(np.sqrt(tp * tpp) - rhs)
 
 

@@ -19,8 +19,11 @@ rotation with sqrt(tan phi')/sqrt(tan phi) = q, in closed form
     phi = arctan( (s*tan gamma + sqrt(1 + s^2 * tan^2 gamma)) / q ),
     s = (q + 1/q) / 2,
 
-falling back to bisection on the (monotone) defining property when
-tan(gamma) is too large for the closed form to be well conditioned.
+evaluated through t = tan(gamma - pi/2) > 0: tan gamma = -1/t turns the
+numerator into t / (s + hypot(s, t)) exactly, whose denominator adds two
+positive terms, so nothing cancels near gamma = pi/2 and nothing overflows
+near pi, and one expression serves all of (pi/2, pi).  At gamma = pi the
+numerator is exactly 1.
 
 Every scalarization here keeps the solutions whose value v satisfies
 v <= alpha * best + TAU_VAL, with best the smallest value (alpha = 1 for
@@ -47,10 +50,6 @@ from .errors import (
 from .geometry import HALF_PI, ConeParams
 from .instances import MIN, Instance
 from .tolerances import TAU_ANGLE, TAU_VAL
-
-# Beyond this magnitude of tan(gamma) the closed form for rotation_for_ratio
-# is ill conditioned; the defining property itself is authoritative.
-_CLOSED_FORM_TAN_LIMIT = 1e6
 
 
 @dataclass(frozen=True)
@@ -125,25 +124,11 @@ def rotation_for_ratio(gamma: float, q: float) -> float:
         raise InvalidRatio(f"ratio must be finite and > 0, got {q!r}")
     if not (HALF_PI + TAU_ANGLE < gamma <= math.pi + TAU_ANGLE):
         raise InadmissibleCone(f"inner angle {gamma!r} outside (pi/2, pi]")
-    span = gamma - HALF_PI
-    tan_gamma = 0.0 if gamma >= math.pi - TAU_ANGLE else math.tan(gamma)
-    if abs(tan_gamma) > _CLOSED_FORM_TAN_LIMIT:
-        # Bisect g(phi) = tan(phi') - q^2 * tan(phi), strictly decreasing from
-        # tan(span) > 0 to -q^2 * tan(span) < 0.
-        lo, hi = 0.0, span
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                return mid
-            if math.tan(span - mid) - q * q * math.tan(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
+    if gamma >= math.pi - TAU_ANGLE:
+        return math.atan(1.0 / q)
+    t = math.tan(gamma - HALF_PI)
     s = 0.5 * (q + 1.0 / q)
-    a = s * tan_gamma
-    # a + hypot(1, a) cancels for large negative a; the conjugate form does
-    # not (tan(gamma) <= 0 throughout the domain, so a <= 0).
-    return math.atan(1.0 / (q * (math.hypot(1.0, a) - a)))
+    return math.atan(t / (q * (s + math.hypot(s, t))))
 
 
 def build_cover_set(instance: Instance, gamma: float, alpha: float = 1.0) -> set[str]:
@@ -156,6 +141,11 @@ def build_cover_set(instance: Instance, gamma: float, alpha: float = 1.0) -> set
     rotation.  Only the rotations matched to realized ratios are needed:
     each solution is covered through its own ratio.  The union is an
     (alpha * (1 + tan(gamma/2 - pi/4)))-approximation of the instance.
+
+    Raises DegeneratePhi (from balanced_weights) when a matched rotation
+    lies within TAU_ANGLE of either end of the admissible range, as an
+    extreme ratio does at an inner angle just above pi/2, although
+    rotation_for_ratio accepts that angle.
     """
     if instance.sense != MIN:
         raise UnsupportedSense("build_cover_set is defined for minimization instances")

@@ -127,7 +127,12 @@ def ref_gamma_supported_set(instance: ca.Instance, gamma: float) -> set[str]:
 def ref_rotation_coverage_gaps(
     instance: ca.Instance, selection, gamma: float, alpha: float
 ) -> dict[str, SequentialIntervalSet]:
-    """Per target, the admissible range minus every candidate's covering window."""
+    """Per target, the admissible range minus every candidate's covering window.
+
+    The windows are taken at the factor alpha + TAU_VAL, the slack of the
+    factor rule.
+    """
+    slack = alpha + TAU_VAL
     ambient = ca.admissible_range(gamma)
     sel_objs = [instance.objectives_of(s) for s in sorted(selection)]
     gaps: dict[str, SequentialIntervalSet] = {}
@@ -136,9 +141,9 @@ def ref_rotation_coverage_gaps(
         uncovered = SequentialIntervalSet.full(ambient)
         for fs in sel_objs:
             if instance.sense == "max":
-                d = (alpha * fs[0] - ft[0], alpha * fs[1] - ft[1])
+                d = (slack * fs[0] - ft[0], slack * fs[1] - ft[1])
             else:
-                d = (alpha * ft[0] - fs[0], alpha * ft[1] - fs[1])
+                d = (slack * ft[0] - fs[0], slack * ft[1] - fs[1])
             if abs(d[0]) <= TAU_VAL and abs(d[1]) <= TAU_VAL:
                 # Scaled images coincide: covered at every rotation.
                 uncovered = SequentialIntervalSet.empty(ambient)

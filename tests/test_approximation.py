@@ -255,6 +255,25 @@ class TestRotationCoverageGaps:
                 continue
             assert report.is_valid == (not uncovered)
 
+    @pytest.mark.parametrize(
+        "sense, candidate, phi",
+        [
+            ("min", (2000.0 + 5e-7, 1.0), 0.5 * (0.7853981631473232 + PI / 4)),
+            ("max", (500.0 - 1e-7, 2000.0), 0.5 * (0.7853981633307816 + PI / 4)),
+        ],
+        ids=["min", "max"],
+    )
+    def test_gaps_read_the_factor_slack(self, sense, candidate, phi):
+        # c covers t at a factor within alpha + TAU_VAL at every rotation,
+        # phi included, so the every-rotation decision finds no gap either.
+        gamma = 3 * PI / 4
+        inst = ca.make_instance(sense, [("t", 1000.0, 1000.0), ("c", *candidate)])
+        report = ca.verify_approx_set(inst, ["c"], 2.0, ca.ConeParams(gamma, phi))
+        assert report.is_valid and report.min_alpha > 2.0
+        gaps = ca.rotation_coverage_gaps(inst, {"c"}, gamma, 2.0)
+        assert all(g.is_empty() for g in gaps.values())
+        assert ca.is_alpha_approx_for_all_rotations(inst, {"c"}, gamma, 2.0)
+
     def test_self_cover_has_no_gaps(self):
         inst = random_min_instance(8, 10)
         gaps = ca.rotation_coverage_gaps(inst, set(inst.ids()), 3 * PI / 4, 1.0)

@@ -110,7 +110,7 @@ class TestIdentityResidual:
             ca.distortion_identity_residual(PI / 2, 0.0)
 
     def test_small_on_grid(self):
-        gammas = np.linspace(PI / 2 + 1e-3, PI, 200)
+        gammas = [PI / 2 + 1e-8, PI / 2 + 1e-6, *np.linspace(PI / 2 + 1e-3, PI, 200)]
         for g in gammas:
             span = g - PI / 2
             phis = span * np.linspace(0.001, 0.999, 50)

@@ -37,3 +37,19 @@ def test_corpus_names_are_unique_and_cover_both_senses():
     names = [name for name, _ in corpus]
     assert len(names) == len(set(names))
     assert {inst.sense for _, inst in corpus} == {"min", "max"}
+
+
+def test_numeric_section_names_every_function_and_angle():
+    script = load()
+    lines = script["numeric"]()
+    assert lines == script["numeric"]()
+    gammas, ratios = script["NUMERIC_GAMMAS"], script["NUMERIC_RATIOS"]
+    assert len(lines) == len(gammas) * (2 * len(ratios) + 2)
+    keys = {line.split(" ", 2)[1] for line in lines}
+    assert len(keys) == len(lines)
+    by_key = dict(line.split(" ", 2)[1:] for line in lines)
+    # At gamma = pi the matched rotation is arctan(1/q), printed in hex.
+    assert by_key["rotation_for_ratio@pi,0.5"] == math.atan(2.0).hex()
+    # A matched rotation within TAU_ANGLE of a range end prints its error.
+    assert by_key["balanced_weights@0.5pi+1e-9,1000.0"] == "!DegeneratePhi"
+    assert by_key["BoundTable.csv_row@pi"] == ca.BoundTable.at(math.pi).csv_row()

@@ -14,10 +14,30 @@ from coneapprox.errors import (
     NonpositiveWeight,
     UnsupportedSense,
 )
+from coneapprox.generators import random_front
 
 from conftest import lattice_floats, min_instances, random_min_instance, transformed_instance
 
 PI = math.pi
+
+
+def bisect_rotation_for_ratio(gamma: float, q: float) -> float:
+    """Reference for rotation_for_ratio: bisection on the defining property.
+
+    g(phi) = tan(phi') - q^2 * tan(phi) falls strictly from tan(span) > 0
+    to -q^2 * tan(span) < 0 on [0, span], span = gamma - pi/2; the loop
+    halves the bracket until no double lies strictly inside it.
+    """
+    span = gamma - PI / 2
+    lo, hi = 0.0, span
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        if math.tan(span - mid) - q * q * math.tan(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 class TestWeightedSum:
@@ -196,6 +216,23 @@ class TestRotationForRatio:
             got = math.sqrt(math.tan(phi_p) / math.tan(phi))
             assert abs(got - q) <= 1e-9 * max(1.0, q)
 
+    def test_matches_bisection_reference(self):
+        # A log grid of gamma - pi/2 from just above TAU_ANGLE to just below
+        # pi/2, and of q over the ratio range 1e-3 .. 1e3.
+        spans = np.geomspace(2e-12, PI / 2 - 1e-9, 60)
+        ratios = np.geomspace(1e-3, 1e3, 41)
+        for span in spans:
+            gamma = PI / 2 + float(span)
+            for q in ratios:
+                phi = ca.rotation_for_ratio(gamma, float(q))
+                assert 0.0 < phi < gamma - PI / 2
+                want = bisect_rotation_for_ratio(gamma, float(q))
+                assert abs(phi - want) <= 1e-12 * want, (gamma, q)
+
+    def test_halfplane_endpoint_exact(self):
+        for q in (1e-3, 0.5, 1.0, 3.0, 1e3):
+            assert ca.rotation_for_ratio(PI, q) == math.atan(1.0 / q)
+
 
 class TestBuildCoverSet:
     def test_single_solution(self):
@@ -227,6 +264,14 @@ class TestBuildCoverSet:
         for alpha in (math.nan, math.inf):
             with pytest.raises(AlphaBelowOne):
                 ca.build_cover_set(inst, 0.75 * PI, alpha)
+
+    def test_right_angle_edge(self):
+        # The extreme ratios' matched rotations fall within TAU_ANGLE of the
+        # range ends at pi/2 + 1e-10, where balanced_weights refuses them.
+        inst = random_front(50, 1, "convex")
+        assert ca.build_cover_set(inst, PI / 2 + 1e-9, 1.0)
+        with pytest.raises(DegeneratePhi):
+            ca.build_cover_set(inst, PI / 2 + 1e-10, 1.0)
 
     def test_deterministic(self):
         inst = random_min_instance(3, 25)
