@@ -10,9 +10,10 @@ from the import path, e.g.
     PYTHONPATH=old/src python3 scripts/same_answers.py > parent.txt
     diff parent.txt change.txt
 
-Corpus: every generator family, seeded random fronts of each shape and
-seeded lattice fronts with ties, each in both senses, at the inner angles
-pi/2, 0.75pi and pi.  A numeric section follows: rotation_for_ratio,
+Corpus: every generator family, seeded random fronts of each shape,
+seeded lattice fronts with ties and two badly scaled fronts (objective
+ratios from 1e-6 to 1e6), each in both senses, at the inner angles pi/2,
+0.75pi and pi.  A numeric section follows: rotation_for_ratio,
 balanced_weights, the bound table and the distortion identity on a fixed
 grid of inner angles (down to pi/2 + 1e-9) and ratios.
 """
@@ -167,6 +168,13 @@ def corpus() -> list[tuple[str, ca.Instance]]:
     for seed in range(4):
         items = lattice_front(seed, 10)
         out += [(f"lattice{seed}-{sense}", ca.make_instance(sense, items)) for sense in ("min", "max")]
+    mixed = make_family_instance("mixed", n=10, seed=5)
+    badly_scaled = {
+        "spread": [("x0", 1e-3, 1e3), ("x1", 1.0, 1.0), ("x2", 1e3, 1e-3)],
+        "mixed5-scaled": [(s.id, s.objectives[0] * 1e-3, s.objectives[1] * 1e3) for s in mixed.solutions],
+    }
+    for name, items in badly_scaled.items():
+        out += [(f"{name}-{sense}", ca.make_instance(sense, items)) for sense in ("min", "max")]
     return out
 
 

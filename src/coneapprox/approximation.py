@@ -97,11 +97,12 @@ def _selection(instance: Instance, selection: set[str] | list[str], caller: str)
 
 def _factors(instance: Instance, selection: set[str] | list[str], params: ConeParams | None, caller: str):
     """The sorted selection and its matrix of smallest covering factors,
-    selection rows by instance columns."""
+    selection rows by instance columns: the larger of the two objectives'
+    quotient planes, each contiguous, so no reduction runs along a short axis."""
     sel, rows = _selection(instance, selection, caller)
-    images = instance.min_images(params)
-    scaled, unscaled = _scaled_first(instance, images[np.newaxis, :, :], images[rows][:, np.newaxis, :])
-    return sel, (unscaled / scaled).max(axis=2)
+    planes = instance.min_images(params).T
+    scaled, unscaled = _scaled_first(instance, planes[:, np.newaxis, :], planes[:, rows, np.newaxis])
+    return sel, np.maximum(*(unscaled / scaled))
 
 
 def is_alpha_approx_pair(

@@ -141,15 +141,15 @@ def dominates(instance: Instance, a: str, b: str) -> bool:
     return fa[0] < fb[0] - TAU_VAL or fa[1] < fb[1] - TAU_VAL
 
 
-def dominated_mask(values: np.ndarray, tol: float = TAU_VAL) -> np.ndarray:
+def dominated_mask(values: np.ndarray) -> np.ndarray:
     """Boolean mask of rows dominated under componentwise minimization.
 
-    Row x is dominated iff some row y has y <= x + tol componentwise and
-    y < x - tol in at least one component.  Sort by the first coordinate,
+    Row x is dominated iff some row y has y <= x + TAU_VAL componentwise and
+    y < x - TAU_VAL in at least one component.  Sort by the first coordinate,
     then one prefix-minimum pass answers both cases in O(n log n):
       A) a row with strictly smaller first coordinate and second coordinate
-         within tol of x's, or
-      B) a row with first coordinate at most x's (up to tol) and strictly
+         within TAU_VAL of x's, or
+      B) a row with first coordinate at most x's (up to TAU_VAL) and strictly
          smaller second coordinate.
     """
     n = len(values)
@@ -158,13 +158,13 @@ def dominated_mask(values: np.ndarray, tol: float = TAU_VAL) -> np.ndarray:
     f2 = values[order, 1]
     prefix_min_f2 = np.minimum.accumulate(f2)
 
-    j_a = np.searchsorted(f1, f1 - tol, side="left")
+    j_a = np.searchsorted(f1, f1 - TAU_VAL, side="left")
     min_a = np.where(j_a > 0, prefix_min_f2[np.maximum(j_a - 1, 0)], np.inf)
-    dominated = min_a <= f2 + tol
+    dominated = min_a <= f2 + TAU_VAL
 
-    j_b = np.searchsorted(f1, f1 + tol, side="right")
+    j_b = np.searchsorted(f1, f1 + TAU_VAL, side="right")
     min_b = prefix_min_f2[j_b - 1]
-    dominated |= min_b < f2 - tol
+    dominated |= min_b < f2 - TAU_VAL
 
     mask = np.empty(n, dtype=bool)
     mask[order] = dominated

@@ -15,6 +15,7 @@ from coneapprox.errors import (
     UnsupportedSense,
 )
 from coneapprox.generators import random_front
+from coneapprox.tolerances import TAU_VAL
 
 from conftest import lattice_floats, min_instances, random_min_instance, transformed_instance
 
@@ -38,6 +39,38 @@ def bisect_rotation_for_ratio(gamma: float, q: float) -> float:
             lo = mid
         else:
             hi = mid
+
+
+def reference_cover_set(inst: ca.Instance, gamma: float, alpha: float = 1.0) -> set[str]:
+    """Reference for build_cover_set: per realized ratio, the balanced
+    max-ordering scalarization of the instance transformed at the matched
+    rotation, with the lexicographically smallest id of its level set
+    alpha * best + TAU_VAL.  Raises DegeneratePhi where balanced_weights does.
+    """
+    images = inst.min_images()
+    ids = inst.ids()
+    out = set()
+    for q in sorted({float(r) for r in images[:, 0] / images[:, 1]}):
+        params = ca.ConeParams(gamma, ca.rotation_for_ratio(gamma, q))
+        w = ca.balanced_weights(params)
+        transformed = inst.min_images(params)
+        vals = np.maximum(w.w1 * transformed[:, 0], w.w2 * transformed[:, 1])
+        level = alpha * vals.min() + TAU_VAL
+        out.add(min(ids[i] for i in np.flatnonzero(vals <= level)))
+    return out
+
+
+def lattice_instance(seed: int, n: int) -> ca.Instance:
+    """Objectives in (1..23)/8, so ties and duplicates are common."""
+    pts = np.random.default_rng(seed).integers(1, 24, size=(n, 2)) / 8.0
+    return ca.make_instance("min", [(f"x{i}", float(a), float(b)) for i, (a, b) in enumerate(pts)])
+
+
+def scaled(inst: ca.Instance, s1: float, s2: float) -> ca.Instance:
+    return ca.make_instance("min", [(s.id, s.objectives[0] * s1, s.objectives[1] * s2) for s in inst.solutions])
+
+
+COVER_GAMMAS = (0.51 * PI, 0.6 * PI, 0.75 * PI, 0.9 * PI, PI)
 
 
 class TestWeightedSum:
@@ -267,11 +300,37 @@ class TestBuildCoverSet:
 
     def test_right_angle_edge(self):
         # The extreme ratios' matched rotations fall within TAU_ANGLE of the
-        # range ends at pi/2 + 1e-10, where balanced_weights refuses them.
+        # range ends at pi/2 + 1e-10, where balanced_weights refuses them;
+        # the direct scalarization never forms phi' and still covers.
         inst = random_front(50, 1, "convex")
-        assert ca.build_cover_set(inst, PI / 2 + 1e-9, 1.0)
-        with pytest.raises(DegeneratePhi):
-            ca.build_cover_set(inst, PI / 2 + 1e-10, 1.0)
+        for gamma in (PI / 2 + 1e-9, PI / 2 + 1e-10):
+            cover = ca.build_cover_set(inst, gamma, 1.0)
+            assert ca.min_alpha(inst, cover) <= ca.guarantee_factor(gamma) + 1e-9
+
+    def test_matches_reference_cover_set(self):
+        fronts = [random_front(60, seed, shape) for seed in range(4) for shape in ("convex", "concave", "mixed")]
+        fronts += [lattice_instance(seed, 30) for seed in range(8)]
+        for inst in fronts:
+            for gamma in COVER_GAMMAS:
+                for alpha in (1.0, 1.3):
+                    assert ca.build_cover_set(inst, gamma, alpha) == reference_cover_set(inst, gamma, alpha)
+
+    def test_guarantee_on_badly_scaled_fronts(self):
+        # Each objective scaled by 10^k, k in {-3, 0, 3}, and two-point
+        # fronts whose ratios reach 1e+-12: balanced_weights would refuse
+        # the matched rotations of the extreme ratios below pi.
+        fronts = [
+            scaled(base, 10.0**k1, 10.0**k2)
+            for base in (random_front(30, 4, "convex"), random_front(30, 5, "concave"), lattice_instance(9, 20))
+            for k1 in (-3, 0, 3)
+            for k2 in (-3, 0, 3)
+        ]
+        fronts += [ca.make_instance("min", [("q", 10.0**j, 1.0), ("one", 1.0, 1.0)]) for j in range(-12, 13) if j]
+        for inst in fronts:
+            for gamma in COVER_GAMMAS:
+                for alpha in (1.0, 1.3):
+                    cover = ca.build_cover_set(inst, gamma, alpha)
+                    assert ca.min_alpha(inst, cover) <= alpha * ca.guarantee_factor(gamma) + 1e-9, (gamma, alpha)
 
     def test_deterministic(self):
         inst = random_min_instance(3, 25)
