@@ -189,7 +189,7 @@ def rotation_coverage_gaps(
     images = instance.min_images()
     scaled, unscaled = _scaled_first(instance, images, images[picks])
     rows, cols = _scaled_first(instance, (alpha + TAU_VAL) * scaled, unscaled)
-    lo, hi, alive = surviving_intervals(rows, cols, gamma, ambient, keep_ties=False, coincide_covers=True)
+    lo, hi, alive = surviving_intervals(rows, cols, gamma, covering=True)
     return {
         s.id: PhiIntervalSet(ambient, (a, b) if keep else None)
         for s, a, b, keep in zip(instance.solutions, lo.tolist(), hi.tolist(), alive.tolist())

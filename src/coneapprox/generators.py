@@ -15,7 +15,8 @@ cone-order optimality can guarantee:
                            efficient middle point is optimal for no rotation,
                            so no covering guarantee exists for maximization.
 
-Random families (seeded, bit-reproducible given the same numpy version):
+Random families (seeded by an integer >= 0, bit-reproducible given the same
+numpy version):
 fronts on strictly convex or strictly concave decreasing curves, a mixed
 front with dominated noise, and exhaustive enumeration of subset instances
 that trade selected cost against unselected value.
@@ -50,7 +51,7 @@ def single_cone_trap(alpha: float, gamma: float, phi: float) -> Instance:
     """
     if not 1.0 < alpha < math.inf:
         raise InvalidParams(f"alpha must be finite and > 1, got {alpha!r}")
-    if not (HALF_PI < gamma <= math.pi + TAU_ANGLE):
+    if not (HALF_PI + TAU_ANGLE < gamma <= math.pi + TAU_ANGLE):
         raise InvalidParams(f"inner angle {gamma!r} outside (pi/2, pi]")
     if phi <= 0.0 or not admissible(gamma, phi):
         raise InvalidParams(f"rotation {phi!r} outside (0, gamma - pi/2] \\ {{pi/2}}")
@@ -152,6 +153,8 @@ def random_front(n: int, seed: int, shape: str = "mixed") -> Instance:
         raise InvalidParams(f"need n >= 1, got {n!r}")
     if shape not in ("convex", "concave", "mixed"):
         raise InvalidParams(f"unknown shape {shape!r}")
+    if seed < 0:
+        raise InvalidParams(f"need seed >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     if shape == "convex":
         pts = _convex_points(rng, n)
@@ -209,6 +212,8 @@ def knapsack_enumeration(k: int, seed: int) -> Instance:
         raise InvalidParams(f"need k >= 1, got {k!r}")
     if k > 20:
         raise KTooLarge(f"subset enumeration capped at k = 20, got {k!r}")
+    if seed < 0:
+        raise InvalidParams(f"need seed >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     base = rng.uniform(1.0, 2.0, size=2)
     items = rng.uniform(0.5, 3.0, size=(k, 2))

@@ -12,7 +12,8 @@ cone, equivalently when T(y) <= T(y') componentwise.  gamma = pi/2 (forcing
 phi = 0) recovers the componentwise order; gamma = pi gives the halfplane of
 a positively weighted sum.  Admissible rotations form the closed interval
 [0, gamma - pi/2] for gamma < pi and the open interval (0, pi/2) for
-gamma = pi, where the two axis-aligned halfplanes must be excluded.
+gamma = pi, where the two axis-aligned halfplanes must be excluded; an
+inner angle within TAU_ANGLE of pi/2 admits phi = 0 only.
 
 In direction space the cone spans the angles [-phi, gamma - phi], which is
 what rotation_window() exploits to invert membership queries over phi.
@@ -52,13 +53,16 @@ def admissible(gamma: float, phi: float) -> bool:
 def admissible_range(gamma: float) -> tuple[float, float]:
     """Admissible rotation interval for the given inner angle.
 
-    For gamma = pi the mathematically open interval (0, pi/2) is represented
-    by shrinking both ends by TAU_ANGLE.  Raises InadmissibleCone for gamma
-    outside [pi/2, pi].
+    An inner angle within TAU_ANGLE of pi/2 is the right angle: its range is
+    the single rotation (0.0, 0.0).  For gamma = pi the mathematically open
+    interval (0, pi/2) is represented by shrinking both ends by TAU_ANGLE.
+    Raises InadmissibleCone for gamma outside [pi/2, pi].
     """
     if not math.isfinite(gamma) or gamma < HALF_PI - TAU_ANGLE or gamma > math.pi + TAU_ANGLE:
         raise InadmissibleCone(f"inner angle {gamma!r} outside [pi/2, pi]")
-    hi = max(gamma - HALF_PI, 0.0)
+    hi = gamma - HALF_PI
+    if hi <= TAU_ANGLE:
+        return (0.0, 0.0)
     if gamma >= math.pi - TAU_ANGLE:
         return (TAU_ANGLE, hi - TAU_ANGLE)
     return (0.0, hi)

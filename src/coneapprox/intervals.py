@@ -9,23 +9,28 @@ admissible range (see geometry.rotation_window).  A window is gamma long and
 the range only gamma - pi/2, so a clipped window is empty, a prefix [a0, h],
 a suffix [l, a1] or the whole range, and what survives is one interval
 [max h, min l]: surviving_intervals() finds it in one vectorized O(n) pass
-per solution.  Tolerance rules:
+per solution.  It reads the range from geometry.admissible_range, which
+alone decides the right angle, and applies one of two rules:
 
-* a degenerate range (gamma = pi/2: phi = 0 only) survives only if no
-  window meets it, and a window covering the whole range empties the set;
-* closed removal (gamma < pi, and all coverage gaps) ignores windows not
-  longer than TAU_ANGLE and leaves a set only if U - L > TAU_ANGLE;
-* tie endpoints (supportedness at gamma = pi, where a window endpoint is an
-  equal weighted sum, not a domination) survive, so U >= L suffices and a
-  single-rotation interval is kept.
+* closed removal (supportedness below pi, and all coverage gaps) ignores
+  windows not longer than TAU_ANGLE and leaves a set only if
+  U - L > TAU_ANGLE;
+* ties (supportedness at gamma = pi, where a window endpoint is an equal
+  weighted sum, not a domination; and the one-rotation range at the right
+  angle) keep every window and need only U >= L, so a single-rotation
+  interval survives.  On a one-rotation range every window that meets it
+  is a prefix ending at its end, so the rotation survives exactly when no
+  window meets it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import admissible_range
 from .tolerances import TAU_ANGLE, TAU_VAL
 
 Interval = tuple[float, float]
@@ -60,15 +65,18 @@ class PhiIntervalSet:
 
 
 def surviving_intervals(
-    rows: np.ndarray, cols: np.ndarray, gamma: float, ambient: Interval, *, keep_ties: bool, coincide_covers: bool
+    rows: np.ndarray, cols: np.ndarray, gamma: float, *, covering: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lo, hi, alive): row i keeps the rotations [lo[i], hi[i]] if alive[i],
     after the windows of all differences d = rows[i] - cols[j] (minimization
-    direction) are removed.  Pairs coinciding within TAU_VAL are skipped or,
-    with coincide_covers, empty their row; keep_ties picks the tie rule."""
-    a0, a1 = ambient
-    lo_out = np.full(len(rows), a0)
-    hi_out = np.full(len(rows), a1)
+    direction) are removed from admissible_range(gamma).  `covering` names
+    the coverage-gap decision: there a pair coinciding within TAU_VAL covers
+    its row and windows are removed closed even at pi; otherwise
+    (supportedness) such pairs are skipped."""
+    a0, a1 = admissible_range(gamma)
+    ties = a0 == a1 or (not covering and gamma >= math.pi - TAU_ANGLE)
+    lo_out = np.empty(len(rows))
+    hi_out = np.empty(len(rows))
     alive = np.empty(len(rows), dtype=bool)
     step = max(1, BLOCK_ELEMENTS // max(1, len(cols)))
     for start in range(0, len(rows), step):
@@ -80,19 +88,15 @@ def surviving_intervals(
         lo = np.maximum(-theta, a0)
         hi = np.minimum(gamma - theta, a1)
         meets = (lo <= hi) & ~coincide
-        if a1 - a0 <= TAU_ANGLE:
-            keep = ~meets.any(axis=1)
-        else:
-            if not keep_ties:
-                meets &= hi - lo > TAU_ANGLE
-            prefix = meets & (lo == a0)
-            # A whole-range window is a prefix that ends at +inf.
-            ends = np.where(hi == a1, np.inf, hi)
-            lower = np.where(prefix, ends, -np.inf).max(axis=1, initial=a0)
-            upper = np.where(meets & ~prefix, lo, np.inf).min(axis=1, initial=a1)
-            keep = upper >= lower if keep_ties else upper - lower > TAU_ANGLE
-            lo_out[block], hi_out[block] = lower, upper
-        if coincide_covers:
+        if not ties:
+            meets &= hi - lo > TAU_ANGLE
+        prefix = meets & (lo == a0)
+        # A whole-range window is a prefix that ends at +inf.
+        ends = np.where(hi == a1, np.inf, hi)
+        lower = np.where(prefix, ends, -np.inf).max(axis=1, initial=a0)
+        upper = np.where(meets & ~prefix, lo, np.inf).min(axis=1, initial=a1)
+        keep = upper >= lower if ties else upper - lower > TAU_ANGLE
+        if covering:
             keep &= ~coincide.any(axis=1)
-        alive[block] = keep
+        lo_out[block], hi_out[block], alive[block] = lower, upper, keep
     return lo_out, hi_out, alive

@@ -7,29 +7,22 @@ single closed rotation window (see geometry.rotation_window), and what the
 windows leave of the admissible range is always a single interval, found in
 one vectorized O(n) pass per solution (see intervals.surviving_intervals).
 
-Inner angle pi/2 recovers the efficient set, inner angle pi the classical
-supported solutions (optima of positively weighted sums).
+Inner angle pi/2 (and every angle within TAU_ANGLE of it, see
+geometry.admissible_range) recovers the efficient set unless two images
+differ by less than TAU_VAL in some coordinate: efficient_set counts that
+coordinate as tied, the rotation windows do not.  For x = (1, 2) and
+y = (1 + 1e-10, 1), efficient_set is {y} but the gamma-supported set at pi/2
+is {x, y}.  Inner angle pi gives the classical supported solutions (optima of
+positively weighted sums).
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .geometry import admissible_range
 from .instances import Instance
 from .intervals import PhiIntervalSet, surviving_intervals
-from .tolerances import TAU_ANGLE
-
-
-def _optimal_rotations(instance: Instance, gamma: float, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """surviving_intervals() for the selected rows against every solution."""
-    ambient = admissible_range(gamma)
-    arr = instance.min_images()
-    return surviving_intervals(
-        arr[rows], arr, gamma, ambient, keep_ties=gamma >= math.pi - TAU_ANGLE, coincide_covers=False
-    )
 
 
 def optimal_phi_set(instance: Instance, gamma: float, solution_id: str) -> PhiIntervalSet:
@@ -49,13 +42,15 @@ def optimal_phi_set(instance: Instance, gamma: float, solution_id: str) -> PhiIn
     optimal exactly at the tie rotation).
     """
     ambient = admissible_range(gamma)
-    lo, hi, alive = _optimal_rotations(instance, gamma, [instance.index_of(solution_id)])
+    arr = instance.min_images()
+    lo, hi, alive = surviving_intervals(arr[[instance.index_of(solution_id)]], arr, gamma, covering=False)
     return PhiIntervalSet(ambient, (float(lo[0]), float(hi[0])) if alive[0] else None)
 
 
 def gamma_supported_set(instance: Instance, gamma: float) -> set[str]:
     """Ids of all solutions optimal for some cone of the given inner angle."""
-    _, _, alive = _optimal_rotations(instance, gamma, slice(None))
+    arr = instance.min_images()
+    _, _, alive = surviving_intervals(arr, arr, gamma, covering=False)
     return {s.id for s, keep in zip(instance.solutions, alive) if keep}
 
 

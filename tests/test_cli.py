@@ -374,6 +374,8 @@ EXIT_CONTRACT = [
     ("generate convex --n 2 --gamma 0.75pi", 2),
     ("generate convex --n 2 --gamma 0.3pi", 1),
     ("generate single-cone --alpha 2 --gamma 0.75pi --phi 0.1 --seed 4", 2),
+    ("generate convex --n 3 --seed -1", 2),
+    ("generate knapsack --k 3 --seed -5", 2),
     ("sweep --steps 2 --generator convex:n=3,seed=0 {out_csv}", 0),
     ("sweep --gamma-from 0.75pi --gamma-to pi --steps 0 --generator convex:n=3,seed=0 {out_csv}", 1),
     ("sweep --steps 2 --generator nope {out_csv}", 2),
@@ -381,6 +383,7 @@ EXIT_CONTRACT = [
     ("sweep --steps 2 --generator tightness:alpha=1,epsilon=0.1,gamma=2 {out_csv}", 2),
     ("sweep --gamma-from 0.75pi --steps 2 --generator single-cone:alpha=2,phi=0.1pi {out_csv}", 0),
     ("sweep --gamma-from 0.75pi --steps 2 --generator single-cone:alpha=2,phi=huh {out_csv}", 1),
+    ("sweep --generator convex:n=3,seed=-1 {out_csv}", 2),
     ("bounds --steps 3", 0),
     ("bounds --gamma-to 1.5pi", 1),
     ("bounds --steps 3 -o {unwritable}", 2),

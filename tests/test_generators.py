@@ -41,6 +41,12 @@ class TestSingleConeTrap:
         with pytest.raises(InvalidParams):
             gen.single_cone_trap(2.0, PI, PI / 2)
 
+    def test_rejects_right_angle(self):
+        # Within TAU_ANGLE of pi/2 the second objectives would fall below TAU_VAL.
+        for gamma, phi in ((PI / 2, 1e-12), (PI / 2 + 5e-13, 1e-12)):
+            with pytest.raises(InvalidParams):
+                gen.single_cone_trap(2.0, gamma, phi)
+
 
 class TestEveryRotationTrap:
     def test_reference_values(self):
@@ -157,6 +163,8 @@ class TestRandomFront:
             gen.random_front(0, seed=1, shape="convex")
         with pytest.raises(InvalidParams):
             gen.random_front(3, seed=1, shape="wavy")
+        with pytest.raises(InvalidParams):
+            gen.random_front(3, seed=-1, shape="convex")
 
 
 class TestKnapsackEnumeration:
@@ -205,6 +213,8 @@ class TestKnapsackEnumeration:
             gen.knapsack_enumeration(21, 0)
         with pytest.raises(InvalidParams):
             gen.knapsack_enumeration(0, 0)
+        with pytest.raises(InvalidParams):
+            gen.knapsack_enumeration(3, -5)
 
 
 class TestFamilyRegistry:

@@ -41,6 +41,14 @@ class TestAdmissible:
         with pytest.raises(InadmissibleCone):
             ca.ConeParams(PI / 2, 0.1)
 
+    def test_right_angle_band_has_one_rotation(self):
+        # Within TAU_ANGLE of pi/2 the inner angle is the right angle.
+        for gamma in (PI / 2 - 5e-13, PI / 2 + 5e-13, PI / 2 + 9e-13):
+            assert ca.admissible_range(gamma) == (0.0, 0.0)
+        assert ca.admissible_range(PI / 2 + 2e-12)[1] > 0.0
+        with pytest.raises(InadmissibleCone):
+            ca.ConeParams(PI / 2 + 5e-13, 1.5e-12)
+
 
 class TestTransform:
     def test_pareto_is_identity(self):

@@ -64,7 +64,8 @@ def collinear_instances(draw):
 def inner_angles(draw):
     pick = draw(st.integers(0, 4))
     if pick == 0:
-        return 0.5 * PI
+        # The right angle, within TAU_ANGLE of it, and just outside.
+        return 0.5 * PI + draw(st.sampled_from((0.0, 5e-13, -5e-13, 1e-12)))
     if pick == 1:
         return PI
     if pick == 2:

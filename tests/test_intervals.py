@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from coneapprox.intervals import BLOCK_ELEMENTS, PhiIntervalSet, surviving_intervals
-from coneapprox.tolerances import TAU_ANGLE
 from reference_intervals import SequentialIntervalSet
 
 
@@ -91,10 +90,9 @@ GAMMA = 0.75 * math.pi
 AMB = (0.0, 0.25 * math.pi)
 
 
-def kernel(rows, cols, gamma=GAMMA, ambient=AMB, keep_ties=False, coincide_covers=False):
+def kernel(rows, cols, gamma=GAMMA, covering=False):
     lo, hi, alive = surviving_intervals(
-        np.array(rows, dtype=float), np.array(cols, dtype=float), gamma, ambient,
-        keep_ties=keep_ties, coincide_covers=coincide_covers,
+        np.array(rows, dtype=float), np.array(cols, dtype=float), gamma, covering=covering
     )
     return [(a, b) if k else None for a, b, k in zip(lo.tolist(), hi.tolist(), alive.tolist())]
 
@@ -112,23 +110,36 @@ def test_whole_range_window_and_coinciding_images():
     assert kernel([(2.0, 2.0)], [(1.0, 1.0)]) == [None]
     # A coinciding image is skipped, or, for coverage, covers outright.
     assert kernel([(1.0, 1.0)], [(1.0, 1.0)]) == [AMB]
-    assert kernel([(1.0, 1.0)], [(1.0, 1.0)], coincide_covers=True) == [None]
+    assert kernel([(1.0, 1.0)], [(1.0, 1.0)], covering=True) == [None]
 
 
 def test_tie_endpoints_and_degenerate_range():
-    amb = (TAU_ANGLE, 0.5 * math.pi - TAU_ANGLE)
     rows, cols = [(2.0, 2.0)], [(1.0, 3.0), (3.0, 1.0)]
-    assert kernel(rows, cols, math.pi, amb, keep_ties=True) == [(0.25 * math.pi, 0.25 * math.pi)]
-    assert kernel(rows, cols, math.pi, amb, keep_ties=False) == [None]
+    # Supportedness at pi keeps the tie rotation; coverage removes it closed.
+    assert kernel(rows, cols, math.pi) == [(0.25 * math.pi, 0.25 * math.pi)]
+    assert kernel(rows, cols, math.pi, covering=True) == [None]
     # At pi/2 only phi = 0 is admissible; any window through it removes it.
-    assert kernel([(2.0, 1.0)], [(1.0, 1.0), (3.0, 0.5)], 0.5 * math.pi, (0.0, 0.0)) == [None]
-    assert kernel([(2.0, 1.0)], [(3.0, 0.5)], 0.5 * math.pi, (0.0, 0.0)) == [(0.0, 0.0)]
+    for covering in (False, True):
+        assert kernel([(2.0, 1.0)], [(1.0, 1.0), (3.0, 0.5)], 0.5 * math.pi, covering) == [None]
+        assert kernel([(2.0, 1.0)], [(3.0, 0.5)], 0.5 * math.pi, covering) == [(0.0, 0.0)]
+
+
+def test_right_angle_band_is_the_right_angle():
+    # Within TAU_ANGLE of pi/2 the range is the single rotation 0, so the
+    # kernel answers as at pi/2 exactly.
+    rows, cols = [(2.0, 1.0)], [(1.0, 1.0 + 1e-13), (3.0, 0.5)]
+    for covering in (False, True):
+        want = kernel(rows, cols, 0.5 * math.pi, covering)
+        for gamma in (0.5 * math.pi + 5e-13, 0.5 * math.pi + 9e-13):
+            assert kernel(rows, cols, gamma, covering) == want
 
 
 def test_blocks_match_one_pass():
     rng = np.random.default_rng(0)
     pts = rng.integers(1, 30, size=(600, 2)) / 4.0
-    whole = kernel(pts, pts, keep_ties=True)
     assert len(pts) ** 2 > BLOCK_ELEMENTS
-    for i in (0, 57, 599):
-        assert kernel(pts[i : i + 1], pts, keep_ties=True) == whole[i : i + 1]
+    # Both rules: ties (supportedness at pi) and closed removal (coverage).
+    for gamma, covering in ((math.pi, False), (GAMMA, True)):
+        whole = kernel(pts, pts, gamma, covering)
+        for i in (0, 57, 599):
+            assert kernel(pts[i : i + 1], pts, gamma, covering) == whole[i : i + 1]

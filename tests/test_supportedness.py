@@ -28,6 +28,16 @@ class TestOptimalPhiSet:
         assert ca.optimal_phi_set(inst2, PI / 2, "b").is_empty()
         assert not ca.optimal_phi_set(inst2, PI / 2, "a").is_empty()
 
+    def test_right_angle_band_answers_as_right_angle(self):
+        # y lies 1e-13 above x's level: at pi/2 x keeps phi = 0, and an inner
+        # angle within TAU_ANGLE of pi/2 must answer the same.
+        inst = ca.make_instance("min", [("x", 2.0, 1.0), ("y", 1.0, 1.0 + 1e-13)])
+        want = ca.optimal_phi_set(inst, PI / 2, "x")
+        assert want.interval == (0.0, 0.0)
+        for gamma in (PI / 2 + 5e-13, PI / 2 + 9e-13):
+            assert ca.optimal_phi_set(inst, gamma, "x") == want
+            assert ca.gamma_supported_set(inst, gamma) == ca.gamma_supported_set(inst, PI / 2)
+
     def test_always_optimal_instance_full_range(self):
         inst = every_rotation_trap(2.0, 3 * PI / 4)
         assert ca.optimal_phi_set(inst, 3 * PI / 4, "x1").is_full()
