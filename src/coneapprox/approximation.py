@@ -15,7 +15,29 @@ whole selection is a max-min-max expression over those ratios.
 There is one cover rule at a fixed order: c covers t at alpha exactly when
 that exact factor is <= alpha + TAU_VAL, a slack relative to the factor and
 so to the scale of f(t).  is_alpha_approx_pair is the one-candidate case of
-verify_approx_set and min_alpha; all three read one factor matrix.
+verify_approx_set and min_alpha; all three read one per-target vector of
+best factors, which a crossing search finds exactly, in
+O((n + |sel|) log |sel|) time and O(n + |sel|) memory:
+
+* IEEE division by a fixed positive number is monotone, so for a fixed
+  target each quotient is monotone in the candidate's image, and a
+  candidate weakly dominated by another (in minimization images) never has
+  the smaller factor.  The selection is reduced to its front: sorted by the
+  first image component, a candidate stays only if its second component is
+  strictly smaller than every earlier one.
+* Along that front, for a fixed target, the first quotient g_k is
+  nondecreasing and the second h_k nonincreasing in k, in either sense:
+  maximizing, the candidate's positive image is the divisor, and its first
+  component falls while its second rises along the front.  So the float
+  predicate g_k >= h_k is monotone in k, and one vectorized binary search
+  finds, for all targets at once, the first k where it holds.
+* Before that k the factor max(g, h) is h, nonincreasing; from it on it is
+  g, nondecreasing.  The exact minimum is the smaller factor of k - 1 and k.
+
+The values are the quotients the definition divides, bit for bit; no
+tolerance enters.  Witnesses, the smallest sorted id among the minimizers,
+are searched only for uncovered targets and among the whole selection,
+because a dominated or duplicate candidate can tie with the front.
 
 rotation_coverage_gaps() decides "covered at every admissible rotation"
 exactly, with the same single-interval kernel as supportedness: at fixed
@@ -33,6 +55,7 @@ TAU_VAL).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +63,7 @@ import numpy as np
 from .errors import AlphaBelowOne, EmptySelection
 from .geometry import ConeParams, Vector2, admissible_range
 from .instances import MAX, Instance
-from .intervals import PhiIntervalSet, surviving_intervals
+from .intervals import BLOCK_ELEMENTS, PhiIntervalSet, surviving_intervals
 from .tolerances import TAU_VAL
 
 
@@ -51,6 +74,8 @@ class ApproxReport:
     min_alpha is the exact smallest factor at which the selection covers the
     whole instance; the verdict is min_alpha <= alpha_queried + TAU_VAL.
     Witnesses pair every uncovered solution with its best covering candidate.
+    to_obj() writes a min_alpha that overflowed to inf as None, so the
+    object is valid JSON.
     """
 
     is_valid: bool
@@ -62,7 +87,7 @@ class ApproxReport:
         return {
             "is_valid": self.is_valid,
             "alpha_queried": self.alpha_queried,
-            "min_alpha": self.min_alpha,
+            "min_alpha": self.min_alpha if math.isfinite(self.min_alpha) else None,
             "witnesses": [{"uncovered": u, "best_candidate": c} for u, c in self.witnesses],
         }
 
@@ -95,14 +120,46 @@ def _selection(instance: Instance, selection: set[str] | list[str], caller: str)
     return sel, [instance.index_of(s) for s in sel]
 
 
-def _factors(instance: Instance, selection: set[str] | list[str], params: ConeParams | None, caller: str):
-    """The sorted selection and its matrix of smallest covering factors,
-    selection rows by instance columns: the larger of the two objectives'
-    quotient planes, each contiguous, so no reduction runs along a short axis."""
-    sel, rows = _selection(instance, selection, caller)
-    planes = instance.min_images(params).T
-    scaled, unscaled = _scaled_first(instance, planes[:, np.newaxis, :], planes[:, rows, np.newaxis])
-    return sel, np.maximum(*(unscaled / scaled))
+def _quotients(instance: Instance, targets: Sequence[np.ndarray], candidates: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The two componentwise covering quotients, unscaled over scaled side,
+    of target and candidate planes (one array per objective, broadcast
+    against each other); the factor of a pair is their max.  On subnormal
+    or huge images a quotient is inf or 0, which is its exact IEEE value, so
+    overflow and underflow are not reported."""
+    with np.errstate(over="ignore", under="ignore"):
+        return [u / s for s, u in (_scaled_first(instance, t, c) for t, c in zip(targets, candidates))]
+
+
+def _best_factors(instance: Instance, rows: list[int], params: ConeParams | None) -> np.ndarray:
+    """Per solution, the exact smallest covering factor over the candidates
+    at `rows`: a crossing search along the candidates' front (see the
+    module docstring), O(|rows| log |rows|) to build the front and
+    O(n log |rows|) to search it, in O(n + |rows|) memory."""
+    images = instance.min_images(params)
+    cands = images[rows]
+    cands = cands[np.lexsort((cands[:, 1], cands[:, 0]))]
+    keep = np.ones(len(cands), dtype=bool)
+    keep[1:] = cands[1:, 1] < np.minimum.accumulate(cands[:-1, 1])
+    front = np.ascontiguousarray(cands[keep].T)
+    targets = np.ascontiguousarray(images.T)
+    m = front.shape[1]
+
+    def quotients_at(k: np.ndarray) -> list[np.ndarray]:
+        return _quotients(instance, targets, [plane[k] for plane in front])
+
+    # crossing[j] counts the front candidates whose first quotient over
+    # target j is below the second; the predicate is monotone along the
+    # front, so a branchless binary search finds it for all targets at once.
+    crossing = np.zeros(len(images), dtype=np.intp)
+    step = 1 << (m.bit_length() - 1)
+    while step:
+        probe = crossing + (step - 1)
+        g, h = quotients_at(np.minimum(probe, m - 1))
+        crossing += step * ((probe < m) & (g < h))
+        step >>= 1
+    before = np.maximum(*quotients_at(np.maximum(crossing - 1, 0)))
+    after = np.maximum(*quotients_at(np.minimum(crossing, m - 1)))
+    return np.minimum(before, after)
 
 
 def is_alpha_approx_pair(
@@ -120,8 +177,8 @@ def is_alpha_approx_pair(
     verify_approx_set: the exact factor must be <= alpha + TAU_VAL.
     """
     check_alpha(alpha)
-    _, factors = _factors(instance, [by], params, "is_alpha_approx_pair")
-    return bool(factors[0, instance.index_of(target)] <= alpha + TAU_VAL)
+    _, rows = _selection(instance, [by], "is_alpha_approx_pair")
+    return bool(_best_factors(instance, rows, params)[instance.index_of(target)] <= alpha + TAU_VAL)
 
 
 def min_alpha(instance: Instance, selection: set[str] | list[str], params: ConeParams | None = None) -> float:
@@ -131,7 +188,26 @@ def min_alpha(instance: Instance, selection: set[str] | list[str], params: ConeP
     factor); well defined because all (transformed) objectives are strictly
     positive.
     """
-    return float(_factors(instance, selection, params, "min_alpha")[1].min(axis=0).max())
+    _, rows = _selection(instance, selection, "min_alpha")
+    return float(_best_factors(instance, rows, params).max())
+
+
+def _witness_rows(
+    instance: Instance, rows: list[int], params: ConeParams | None, targets: np.ndarray
+) -> np.ndarray:
+    """Per target, the position in `rows` of the first candidate with the
+    smallest factor over it.  Scans every candidate, since a dominated or
+    duplicate one can tie with the front; blocked, so its temporaries stay
+    bounded."""
+    planes = instance.min_images(params).T
+    cands = planes[:, rows, np.newaxis]
+    out = np.empty(len(targets), dtype=np.intp)
+    step = max(1, BLOCK_ELEMENTS // len(rows))
+    for start in range(0, len(targets), step):
+        block = targets[start : start + step]
+        factors = np.maximum(*_quotients(instance, planes[:, np.newaxis, block], cands))
+        out[start : start + step] = factors.argmin(axis=0)
+    return out
 
 
 def verify_approx_set(
@@ -142,15 +218,12 @@ def verify_approx_set(
 ) -> ApproxReport:
     """Check that the selection covers every solution at factor alpha."""
     check_alpha(alpha)
-    sel, factors = _factors(instance, selection, params, "verify_approx_set")
-    best = factors.min(axis=0)
-    best_idx = factors.argmin(axis=0)
+    sel, rows = _selection(instance, selection, "verify_approx_set")
+    best = _best_factors(instance, rows, params)
     worst = float(best.max())
-    witnesses = tuple(
-        (s.id, sel[int(k)])
-        for s, b, k in zip(instance.solutions, best, best_idx)
-        if b > alpha + TAU_VAL
-    )
+    uncovered = np.flatnonzero(best > alpha + TAU_VAL)
+    picks = _witness_rows(instance, rows, params, uncovered)
+    witnesses = tuple((instance.solutions[t].id, sel[k]) for t, k in zip(uncovered.tolist(), picks.tolist()))
     return ApproxReport(worst <= alpha + TAU_VAL, alpha, worst, witnesses)
 
 

@@ -106,7 +106,7 @@ def distortion_identity_residual(gamma, phi):
     """
     g = np.asarray(gamma, dtype=float)
     p = np.asarray(phi, dtype=float)
-    if np.any(g <= HALF_PI + TAU_ANGLE):
+    if np.any(g - HALF_PI <= TAU_ANGLE):
         raise InadmissibleCone("inner angle must exceed pi/2 for the identity")
     pp = g - HALF_PI - p
     if np.any(p <= TAU_ANGLE) or np.any(pp <= TAU_ANGLE):

@@ -94,7 +94,7 @@ def cmd_sets(args: argparse.Namespace) -> int:
         if args.gamma is None:
             raise InadmissibleCone("gamma-supported mode needs an inner angle (--gamma)")
         ids = gamma_supported_set(instance, parse_angle(args.gamma))
-    print(json.dumps(sorted(ids)))
+    print(json.dumps(sorted(ids), allow_nan=False))
     return 0
 
 
@@ -105,7 +105,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     params = None if args.gamma is None else ConeParams(parse_angle(args.gamma), parse_angle(args.phi))
     selection = [s for s in args.set.split(",") if s]
     report = verify_approx_set(instance, selection, args.alpha, params)
-    print(json.dumps(report.to_obj()))
+    print(json.dumps(report.to_obj(), allow_nan=False))
     return 0 if report.is_valid else 1
 
 
@@ -116,7 +116,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.out:
         dump_instance(instance, args.out)
     else:
-        print(json.dumps(instance_to_obj(instance)))
+        print(json.dumps(instance_to_obj(instance), allow_nan=False))
     return 0
 
 

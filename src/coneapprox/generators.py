@@ -51,7 +51,7 @@ def single_cone_trap(alpha: float, gamma: float, phi: float) -> Instance:
     """
     if not 1.0 < alpha < math.inf:
         raise InvalidParams(f"alpha must be finite and > 1, got {alpha!r}")
-    if not (HALF_PI + TAU_ANGLE < gamma <= math.pi + TAU_ANGLE):
+    if not (gamma - HALF_PI > TAU_ANGLE and gamma <= math.pi + TAU_ANGLE):
         raise InvalidParams(f"inner angle {gamma!r} outside (pi/2, pi]")
     if phi <= 0.0 or not admissible(gamma, phi):
         raise InvalidParams(f"rotation {phi!r} outside (0, gamma - pi/2] \\ {{pi/2}}")
@@ -74,7 +74,7 @@ def every_rotation_trap(alpha: float, gamma: float) -> Instance:
     """
     if not 1.0 <= alpha < math.inf:
         raise InvalidParams(f"alpha must be finite and >= 1, got {alpha!r}")
-    if not (HALF_PI + TAU_ANGLE < gamma < math.pi - TAU_ANGLE):
+    if not (gamma - HALF_PI > TAU_ANGLE and gamma < math.pi - TAU_ANGLE):
         raise InvalidParams(f"inner angle {gamma!r} outside (pi/2, pi)")
     slope = -math.cos(gamma) / math.sin(gamma)
     return Instance(
@@ -125,7 +125,7 @@ def maximization_trap(alpha: float, gamma: float) -> Instance:
     """
     if not 1.0 <= alpha < math.inf:
         raise InvalidParams(f"alpha must be finite and >= 1, got {alpha!r}")
-    if not (HALF_PI + TAU_ANGLE < gamma <= math.pi + TAU_ANGLE):
+    if not (gamma - HALF_PI > TAU_ANGLE and gamma <= math.pi + TAU_ANGLE):
         raise InvalidParams(f"inner angle {gamma!r} outside (pi/2, pi]")
     t = math.tan(0.5 * gamma - 0.25 * math.pi)
     m = alpha + 2.0 + alpha / t
@@ -262,8 +262,8 @@ def make_family_instance(family: str, **params) -> Instance:
     A given inner angle `gamma` is checked first: outside [pi/2, pi] it
     raises InadmissibleCone, whichever the family.  InvalidParams is raised
     for an unknown family, for a parameter the builder lacks or requires but
-    was not given, and for values outside the family's own ranges (such as
-    `always-optimal` at pi).
+    was not given, for values outside the family's own ranges (such as
+    `always-optimal` at pi), and for values at which an objective overflows.
     """
     build = _builder(family)
     if "gamma" in params:
@@ -272,4 +272,7 @@ def make_family_instance(family: str, **params) -> Instance:
         inspect.signature(build).bind(**params)
     except TypeError as exc:
         raise InvalidParams(f"family {family!r}: {exc}") from None
-    return build(**params)
+    instance = build(**params)
+    if not np.isfinite(instance.objective_array()).all():
+        raise InvalidParams(f"family {family!r}: an objective overflows at {params}")
+    return instance

@@ -79,22 +79,27 @@ def surviving_intervals(
     hi_out = np.empty(len(rows))
     alive = np.empty(len(rows), dtype=bool)
     step = max(1, BLOCK_ELEMENTS // max(1, len(cols)))
+    # The windows are computed in place in the two difference planes,
+    # allocated once: a fresh block-sized temporary per step would be mapped
+    # and faulted in anew on every block.
+    planes = np.empty((2, min(step, len(rows)), len(cols)))
     for start in range(0, len(rows), step):
         block = slice(start, start + step)
-        d1 = rows[block, 0, None] - cols[None, :, 0]
-        d2 = rows[block, 1, None] - cols[None, :, 1]
-        coincide = (np.abs(d1) <= TAU_VAL) & (np.abs(d2) <= TAU_VAL)
-        theta = np.arctan2(d2, d1)
-        lo = np.maximum(-theta, a0)
-        hi = np.minimum(gamma - theta, a1)
+        d1, d2 = planes[:, : len(rows[block])]
+        np.subtract(rows[block, 0, None], cols[None, :, 0], out=d1)
+        np.subtract(rows[block, 1, None], cols[None, :, 1], out=d2)
+        coincide = (d1 >= -TAU_VAL) & (d1 <= TAU_VAL) & (d2 >= -TAU_VAL) & (d2 <= TAU_VAL)
+        theta = np.arctan2(d2, d1, out=d1)
+        lo = np.maximum(np.negative(theta, out=d2), a0, out=d2)
+        hi = np.minimum(np.subtract(gamma, theta, out=theta), a1, out=theta)
         meets = (lo <= hi) & ~coincide
         if not ties:
             meets &= hi - lo > TAU_ANGLE
         prefix = meets & (lo == a0)
         # A whole-range window is a prefix that ends at +inf.
-        ends = np.where(hi == a1, np.inf, hi)
-        lower = np.where(prefix, ends, -np.inf).max(axis=1, initial=a0)
-        upper = np.where(meets & ~prefix, lo, np.inf).min(axis=1, initial=a1)
+        np.copyto(hi, np.inf, where=hi == a1)
+        lower = np.max(hi, axis=1, where=prefix, initial=a0)
+        upper = np.min(lo, axis=1, where=meets & ~prefix, initial=a1)
         keep = upper >= lower if ties else upper - lower > TAU_ANGLE
         if covering:
             keep &= ~coincide.any(axis=1)

@@ -130,7 +130,7 @@ def _matched_tangent(gamma: float, q: float) -> float:
     """tan of the matched rotation for ratio q: the closed form without the arctan."""
     if not (math.isfinite(q) and q > 0.0):
         raise InvalidRatio(f"ratio must be finite and > 0, got {q!r}")
-    if not (HALF_PI + TAU_ANGLE < gamma <= math.pi + TAU_ANGLE):
+    if not (gamma - HALF_PI > TAU_ANGLE and gamma <= math.pi + TAU_ANGLE):
         raise InadmissibleCone(f"inner angle {gamma!r} outside (pi/2, pi]")
     if gamma >= math.pi - TAU_ANGLE:
         return 1.0 / q

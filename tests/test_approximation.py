@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +125,24 @@ class TestVerifyApproxSet:
         assert bad.witnesses == (("x2", "x1"),)
         assert ca.verify_approx_set(inst, {"x2"}, 2.0).is_valid
 
+    @pytest.mark.parametrize(
+        "sense, target, front, tied",
+        [
+            ("min", (1.0, 1.0), (2.0, 3.0), (3.0, 3.0)),
+            ("min", (1.0, 1.0), (2.0, 3.0), (2.0, 3.0)),
+            ("max", (3.0, 3.0), (1.5, 1.0), (1.0, 1.0)),
+            ("max", (3.0, 3.0), (1.5, 1.0), (1.5, 1.0)),
+        ],
+        ids=["min-dominated", "min-duplicate", "max-dominated", "max-duplicate"],
+    )
+    def test_witness_is_smallest_tied_id(self, sense, target, front, tied):
+        # "a" is dominated by or duplicates front candidate "b", and both
+        # cover t at factor 3: the witness is the smaller sorted id.
+        inst = ca.make_instance(sense, [("t", *target), ("b", *front), ("a", *tied)])
+        report = ca.verify_approx_set(inst, ["b", "a"], 2.0)
+        assert report.min_alpha == 3.0
+        assert report.witnesses == (("t", "a"),)
+
     def test_report_invariant(self):
         inst = random_min_instance(4, 12)
         for selection in ({"x0"}, {"x0", "x5"}, set(inst.ids())):
@@ -134,6 +154,16 @@ class TestVerifyApproxSet:
     def test_empty_selection(self):
         with pytest.raises(EmptySelection):
             ca.verify_approx_set(example1_instance(), set(), 1.0)
+
+    def test_overflowing_factor_is_null_in_json(self):
+        inst = ca.make_instance("min", [("t", 1e-310, 1.0), ("c", 1.0, 1e-310)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = ca.verify_approx_set(inst, ["c"], 2.0)
+        assert report.min_alpha == math.inf and not report.is_valid
+        obj = report.to_obj()
+        assert obj["min_alpha"] is None
+        assert json.loads(json.dumps(obj, allow_nan=False)) == obj
 
 
 class TestMinAlpha:

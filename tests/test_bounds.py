@@ -109,6 +109,14 @@ class TestIdentityResidual:
         with pytest.raises(InadmissibleCone):
             ca.distortion_identity_residual(PI / 2, 0.0)
 
+    def test_right_angle_band_edge(self):
+        # Inside the band the inner angle is the right angle; 0.5 * PI + 1e-12
+        # lies just outside it, where only the rotation is degenerate.
+        with pytest.raises(InadmissibleCone):
+            ca.distortion_identity_residual(PI / 2 + 5e-13, 1e-13)
+        with pytest.raises(DegeneratePhi):
+            ca.distortion_identity_residual(0.5 * PI + 1e-12, 5e-13)
+
     def test_small_on_grid(self):
         gammas = [PI / 2 + 1e-8, PI / 2 + 1e-6, *np.linspace(PI / 2 + 1e-3, PI, 200)]
         for g in gammas:

@@ -17,6 +17,10 @@ from coneapprox.svg import svg_to_data
 PI = math.pi
 
 
+# The factor of c over t overflows to inf.
+SUBNORMAL_INSTANCE = '{"sense": "min", "solutions": [{"id": "t", "f": [1e-310, 1]}, {"id": "c", "f": [1, 1e-310]}]}'
+
+
 def run(argv):
     return main(argv)
 
@@ -127,6 +131,16 @@ class TestVerifyCommand:
 
     def test_gamma_without_phi_exit_two(self, example1_file):
         assert run(["verify", example1_file, "--set", "x1", "--alpha", "2", "--gamma", "pi"]) == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_factor_prints_valid_json(self, tmp_path, capsys):
+        path = tmp_path / "subnormal.json"
+        path.write_text(SUBNORMAL_INSTANCE)
+        assert run(["verify", str(path), "--set", "c", "--alpha", "2"]) == 1
+        out = capsys.readouterr().out
+        report = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-JSON constant {name}"))
+        assert report["min_alpha"] is None
+        assert report["witnesses"] == [{"uncovered": "t", "best_candidate": "c"}]
 
 
 class TestGenerateCommand:
@@ -367,6 +381,7 @@ EXIT_CONTRACT = [
     ("verify {inst} --set x2 --alpha 2", 0),
     ("verify {inst} --set x1 --alpha 0.5", 1),
     ("verify {inst} --set zz --alpha 2", 2),
+    ("verify {subnormal_inst} --set c --alpha 2", 1),
     ("generate convex --n 3 -o {out_json}", 0),
     ("generate tightness --alpha 2 --gamma huh --epsilon 0.1", 1),
     ("generate tightness --alpha 2 --gamma 0.3pi --epsilon 0.1", 1),
@@ -376,6 +391,7 @@ EXIT_CONTRACT = [
     ("generate single-cone --alpha 2 --gamma 0.75pi --phi 0.1 --seed 4", 2),
     ("generate convex --n 3 --seed -1", 2),
     ("generate knapsack --k 3 --seed -5", 2),
+    ("generate tightness --alpha 1e308 --gamma pi --epsilon 0.1", 2),
     ("sweep --steps 2 --generator convex:n=3,seed=0 {out_csv}", 0),
     ("sweep --gamma-from 0.75pi --gamma-to pi --steps 0 --generator convex:n=3,seed=0 {out_csv}", 1),
     ("sweep --steps 2 --generator nope {out_csv}", 2),
@@ -411,6 +427,8 @@ def _contract_ids(rows):
 def test_exit_code_contract(template, code, tmp_path, example1_file):
     bad = tmp_path / "bad.json"
     bad.write_text('{"sense": "min", "solutions": [{"id": "a", "f": [1, -2]}]}')
+    subnormal = tmp_path / "subnormal.json"
+    subnormal.write_text(SUBNORMAL_INSTANCE)
     sweep_csv = tmp_path / "sweep.csv"
     sweep_csv.write_text(f"{SWEEP_HEADER}\n{PI!r},bounds,,2.0,2.0\n")
     nonfinite_csv = tmp_path / "nonfinite.csv"
@@ -422,6 +440,7 @@ def test_exit_code_contract(template, code, tmp_path, example1_file):
     paths = {
         "inst": example1_file,
         "bad_inst": bad,
+        "subnormal_inst": subnormal,
         "missing": tmp_path / "missing.json",
         "out_json": tmp_path / "out.json",
         "out_csv": tmp_path / "out.csv",

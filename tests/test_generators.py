@@ -123,6 +123,23 @@ def test_nan_alpha_rejected(build):
             build(alpha)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda gamma: gen.single_cone_trap(2.0, gamma, ca.admissible_range(gamma)[1]),
+        lambda gamma: gen.every_rotation_trap(2.0, gamma),
+        lambda gamma: gen.maximization_trap(2.0, gamma),
+    ],
+    ids=["single_cone_trap", "every_rotation_trap", "maximization_trap"],
+)
+def test_right_angle_band_edge(build):
+    # The families read the band as admissible_range does: 0.5 * PI + 1e-12
+    # lies just outside it and has two rotations; pi/2 + 5e-13 is the right angle.
+    assert len(build(0.5 * PI + 1e-12).solutions) >= 2
+    with pytest.raises(InvalidParams):
+        build(PI / 2 + 5e-13)
+
+
 class TestRandomFront:
     def test_convex_all_supported(self):
         for n in (1, 2, 8, 30):
@@ -240,6 +257,10 @@ class TestFamilyRegistry:
             gen.make_family_instance("nope")
         with pytest.raises(InvalidParams):
             gen.takes_inner_angle("nope")
+
+    def test_overflowing_objectives(self):
+        with pytest.raises(InvalidParams, match="overflow"):
+            gen.make_family_instance("tightness", alpha=1e308, gamma=PI, epsilon=0.1)
 
     def test_angle_outside_range_checked_first(self):
         with pytest.raises(InadmissibleCone):

@@ -307,6 +307,22 @@ class TestBuildCoverSet:
             cover = ca.build_cover_set(inst, gamma, 1.0)
             assert ca.min_alpha(inst, cover) <= ca.guarantee_factor(gamma) + 1e-9
 
+    def test_right_angle_band_edge(self):
+        # 0.5 * PI + 1e-12 rounds to pi/2 + 1.00009e-12, just outside the
+        # right-angle band: admissible_range gives it two rotations, and so
+        # must the cover.  Inside the band the angle is the right angle.
+        inst = random_front(50, 1, "convex")
+        gamma = 0.5 * PI + 1e-12
+        assert ca.admissible_range(gamma)[1] > 0.0
+        assert 0.0 < ca.rotation_for_ratio(gamma, 1.0) < gamma - PI / 2
+        cover = ca.build_cover_set(inst, gamma, 1.0)
+        assert ca.min_alpha(inst, cover) <= ca.guarantee_factor(gamma) + TAU_VAL
+        for right in (PI / 2, PI / 2 + 5e-13):
+            with pytest.raises(InadmissibleCone):
+                ca.rotation_for_ratio(right, 1.0)
+            with pytest.raises(InadmissibleCone):
+                ca.build_cover_set(inst, right, 1.0)
+
     def test_matches_reference_cover_set(self):
         fronts = [random_front(60, seed, shape) for seed in range(4) for shape in ("convex", "concave", "mixed")]
         fronts += [lattice_instance(seed, 30) for seed in range(8)]
