@@ -126,8 +126,7 @@ def answers(name: str, inst: ca.Instance) -> list[str]:
 
 
 def weights_at_ratio(gamma: float, q: float) -> tuple:
-    w = ca.balanced_weights(ca.ConeParams(gamma, ca.rotation_for_ratio(gamma, q)))
-    return (w.w1, w.w2)
+    return ca.balanced_weights(ca.ConeParams(gamma, ca.rotation_for_ratio(gamma, q)))
 
 
 def numeric() -> list[str]:

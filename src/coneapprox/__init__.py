@@ -10,7 +10,6 @@ minimal factors, and the closed-form guarantee 1 + tan(gamma/2 - pi/4).
 
 from .approximation import (
     ApproxReport,
-    cone_to_componentwise_factor,
     is_alpha_approx_for_all_rotations,
     is_alpha_approx_pair,
     min_alpha,
@@ -29,7 +28,6 @@ from .geometry import (
     ConeParams,
     admissible,
     admissible_range,
-    cone_contains,
     transform,
 )
 from .instances import (
@@ -37,7 +35,6 @@ from .instances import (
     Solution,
     Violation,
     cone_efficient_set,
-    dominates,
     dump_instance,
     efficient_set,
     instance_from_obj,
@@ -48,13 +45,9 @@ from .instances import (
 )
 from .intervals import PhiIntervalSet
 from .scalarize import (
-    MaxOrderingWeights,
-    alpha_approximate_for_max_ordering,
     balanced_weights,
     build_cover_set,
-    max_ordering_optima,
     rotation_for_ratio,
-    weighted_sum_optima,
 )
 from .supportedness import (
     gamma_supported_set,
@@ -68,7 +61,6 @@ __all__ = [
     "BoundTable",
     "ConeParams",
     "Instance",
-    "MaxOrderingWeights",
     "PhiIntervalSet",
     "Solution",
     "TAU_ANGLE",
@@ -76,16 +68,12 @@ __all__ = [
     "Violation",
     "admissible",
     "admissible_range",
-    "alpha_approximate_for_max_ordering",
     "alternative_forms",
     "balanced_weights",
     "build_cover_set",
-    "cone_contains",
     "cone_efficient_set",
-    "cone_to_componentwise_factor",
     "distortion_gap",
     "distortion_identity_residual",
-    "dominates",
     "dump_instance",
     "efficient_set",
     "gamma_supported_set",
@@ -96,7 +84,6 @@ __all__ = [
     "is_alpha_approx_pair",
     "load_instance",
     "make_instance",
-    "max_ordering_optima",
     "min_alpha",
     "optimal_phi_set",
     "rotation_coverage_gaps",
@@ -106,5 +93,4 @@ __all__ = [
     "transform",
     "validate",
     "verify_approx_set",
-    "weighted_sum_optima",
 ]

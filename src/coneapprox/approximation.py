@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaBelowOne, EmptySelection
-from .geometry import ConeParams, Vector2, admissible_range
+from .geometry import ConeParams, admissible_range
 from .instances import MAX, Instance
 from .intervals import BLOCK_ELEMENTS, PhiIntervalSet, surviving_intervals
 from .tolerances import TAU_VAL
@@ -225,18 +225,6 @@ def verify_approx_set(
     picks = _witness_rows(instance, rows, params, uncovered)
     witnesses = tuple((instance.solutions[t].id, sel[k]) for t, k in zip(uncovered.tolist(), picks.tolist()))
     return ApproxReport(worst <= alpha + TAU_VAL, alpha, worst, witnesses)
-
-
-def cone_to_componentwise_factor(params: ConeParams, target_objectives: Vector2, alpha: float) -> float:
-    """The componentwise factor implied by a cone-order cover of this target.
-
-    A cover at factor alpha in the cone order bounds the componentwise
-    ratios by alpha * (1 + max(r * tan(phi), tan(phi') / r)) where r is the
-    target's objective ratio f1/f2.
-    """
-    f1, f2 = target_objectives
-    stretch = max(f1 / f2 * math.tan(params.phi), f2 / f1 * math.tan(params.phi_prime))
-    return alpha * (1.0 + stretch)
 
 
 def rotation_coverage_gaps(

@@ -13,10 +13,6 @@ class InadmissibleCone(ConeApproxError, ValueError):
     """The (gamma, phi) pair does not describe an admissible ordering cone."""
 
 
-class ZeroDirection(ConeApproxError, ValueError):
-    """A direction vector of (0, 0) was passed where a nonzero one is required."""
-
-
 class UnknownId(ConeApproxError, KeyError):
     """A solution id does not occur in the instance."""
 
@@ -27,10 +23,6 @@ class UnknownId(ConeApproxError, KeyError):
 
 class UnsupportedSense(ConeApproxError, ValueError):
     """The operation is defined for one optimization sense only."""
-
-
-class NonpositiveWeight(ConeApproxError, ValueError):
-    """Scalarization weights must be strictly positive."""
 
 
 class AlphaBelowOne(ConeApproxError, ValueError):

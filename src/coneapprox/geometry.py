@@ -15,8 +15,9 @@ a positively weighted sum.  Admissible rotations form the closed interval
 gamma = pi, where the two axis-aligned halfplanes must be excluded; an
 inner angle within TAU_ANGLE of pi/2 admits phi = 0 only.
 
-In direction space the cone spans the angles [-phi, gamma - phi], which is
-what rotation_window() exploits to invert membership queries over phi.
+In direction space the cone spans the angles [-phi, gamma - phi], so a
+direction at angle theta lies in the cone exactly for the rotations in the
+window [-theta, gamma - theta].
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import InadmissibleCone, ZeroDirection
-from .tolerances import TAU_ANGLE, TAU_VAL
+from .errors import InadmissibleCone
+from .tolerances import TAU_ANGLE
 
 HALF_PI = 0.5 * math.pi
 
@@ -104,21 +103,3 @@ def transform(params: ConeParams, y: Vector2) -> Vector2:
     """Apply the cone's reduction map to a single vector."""
     (a, b), (c, d) = params.matrix()
     return (a * y[0] + b * y[1], c * y[0] + d * y[1])
-
-
-def cone_contains(params: ConeParams, d: Vector2, tol: float = TAU_VAL) -> bool:
-    """Closed-cone membership, relaxed by an absolute tolerance on the
-    transformed coordinates."""
-    t1, t2 = transform(params, d)
-    return t1 >= -tol and t2 >= -tol
-
-
-def rotation_window(gamma: float, d: Vector2) -> tuple[float, float]:
-    """Unclipped rotation interval [-theta, gamma - theta] on which d lies in
-    the cone, with theta = atan2(d2, d1).  Raises ZeroDirection for d = (0, 0).
-    numpy's arctan2 (not math.atan2, which can differ in the last bit) keeps
-    this bit-identical to the block kernel intervals.surviving_intervals."""
-    if d[0] == 0.0 and d[1] == 0.0:
-        raise ZeroDirection("direction (0, 0) has no rotation window")
-    theta = float(np.arctan2(d[1], d[0]))
-    return (-theta, gamma - theta)

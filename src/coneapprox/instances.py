@@ -126,21 +126,6 @@ def validate(instance: Instance) -> list[Violation]:
     return out
 
 
-def dominates(instance: Instance, a: str, b: str) -> bool:
-    """Whether solution `a` dominates solution `b` in the instance's sense.
-
-    Minimization: f(a) <= f(b) componentwise and the images differ, with
-    both comparisons relaxed by TAU_VAL.  Maximization mirrors with >=.
-    """
-    fa = instance.objectives_of(a)
-    fb = instance.objectives_of(b)
-    if instance.sense == MAX:
-        fa, fb = (-fa[0], -fa[1]), (-fb[0], -fb[1])
-    if fa[0] > fb[0] + TAU_VAL or fa[1] > fb[1] + TAU_VAL:
-        return False
-    return fa[0] < fb[0] - TAU_VAL or fa[1] < fb[1] - TAU_VAL
-
-
 def dominated_mask(values: np.ndarray) -> np.ndarray:
     """Boolean mask of rows dominated under componentwise minimization.
 
@@ -237,10 +222,14 @@ def instance_from_obj(obj: object) -> Instance:
     return Instance(sense, tuple(sols))
 
 
+def _reject_constant(token: str) -> None:
+    raise InstanceFormatError(f"not valid JSON: {token} is not a JSON number")
+
+
 def load_instance(path: str | Path) -> Instance:
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=_reject_constant)
         except UnicodeDecodeError as exc:
             raise InstanceFormatError(f"not UTF-8 text: {exc}") from exc
         except (json.JSONDecodeError, RecursionError) as exc:
@@ -249,6 +238,10 @@ def load_instance(path: str | Path) -> Instance:
 
 
 def dump_instance(instance: Instance, path: str | Path) -> None:
+    """Write the instance as JSON.  JSON has no NaN or Infinity, so a
+    non-finite objective raises InstanceFormatError before the file is opened."""
+    if not np.isfinite(instance._images).all():
+        raise InstanceFormatError("objectives must be finite to be written as JSON")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(instance_to_obj(instance), fh, indent=2)
         fh.write("\n")

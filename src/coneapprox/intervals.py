@@ -5,7 +5,8 @@ an ambient rotation range and at most one closed interval inside it, read
 through is_empty, is_full, contains and total_length.
 
 Each other image removes its window [-theta, gamma - theta] from the
-admissible range (see geometry.rotation_window).  A window is gamma long and
+admissible range, theta the angle of the image difference: the rotations at
+which that difference lies in the cone.  A window is gamma long and
 the range only gamma - pi/2, so a clipped window is empty, a prefix [a0, h],
 a suffix [l, a1] or the whole range, and what survives is one interval
 [max h, min l]: surviving_intervals() finds it in one vectorized O(n) pass

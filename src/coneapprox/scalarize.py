@@ -1,4 +1,4 @@
-"""Weighted sum and weighted max-ordering scalarizations.
+"""Balanced max-ordering scalarizations and the covering sets they induce.
 
 The max-ordering scalarization minimizes max(w1*f1, w2*f2) over the
 solutions.  For a transformed instance of inner angle gamma and rotation
@@ -36,78 +36,25 @@ max(f1/q + q*a*f2, a*f1 + f2) on the untransformed objectives, which reads
 a alone: no complement is subtracted, so extreme ratios keep their
 precision and every inner angle of (pi/2, pi] works.
 
-Every scalarization here keeps the solutions whose value v satisfies
-v <= alpha * best + TAU_VAL, with best the smallest value (alpha = 1 for
-the optima); values are read from Instance.min_images(), so a weighted sum
-of a maximization instance is minimized on negated images, and an empty
-instance keeps nothing.
+Per ratio, build_cover_set picks the smallest id among the solutions whose
+value v satisfies v <= alpha * best + TAU_VAL, with best the smallest value
+(alpha = 1 for the optima); an empty instance gives the empty set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .approximation import check_alpha
-from .errors import (
-    DegeneratePhi,
-    InadmissibleCone,
-    InvalidRatio,
-    NonpositiveWeight,
-    UnsupportedSense,
-)
+from .errors import DegeneratePhi, InadmissibleCone, InvalidRatio, UnsupportedSense
 from .geometry import HALF_PI, ConeParams
 from .instances import MIN, Instance
 from .tolerances import TAU_ANGLE, TAU_VAL
 
 
-@dataclass(frozen=True)
-class MaxOrderingWeights:
-    """A strictly positive weight pair for the max-ordering scalarization."""
-
-    w1: float
-    w2: float
-
-    def __post_init__(self) -> None:
-        _check_weights(self.w1, self.w2)
-
-
-def _check_weights(w1: float, w2: float) -> None:
-    if not (w1 > 0.0 and w2 > 0.0 and math.isfinite(w1) and math.isfinite(w2)):
-        raise NonpositiveWeight(f"weights must be finite and > 0, got ({w1!r}, {w2!r})")
-
-
-def _near_optimal(ids: list[str], vals: np.ndarray, alpha: float = 1.0) -> list[str]:
-    """The ids whose value is at most alpha * (smallest value) + TAU_VAL."""
-    level = alpha * vals.min(initial=np.inf) + TAU_VAL
-    return [ids[i] for i in np.flatnonzero(vals <= level)]
-
-
-def weighted_sum_optima(instance: Instance, w1: float, w2: float) -> set[str]:
-    """Argmin (argmax for maximization) set of w1*f1 + w2*f2, ties within TAU_VAL."""
-    _check_weights(w1, w2)
-    images = instance.min_images()
-    return set(_near_optimal(instance.ids(), w1 * images[:, 0] + w2 * images[:, 1]))
-
-
-def max_ordering_optima(instance: Instance, weights: MaxOrderingWeights) -> set[str]:
-    """Argmin set of max(w1*f1, w2*f2), ties within TAU_VAL."""
-    return alpha_approximate_for_max_ordering(instance, weights, 1.0)
-
-
-def alpha_approximate_for_max_ordering(
-    instance: Instance, weights: MaxOrderingWeights, alpha: float
-) -> set[str]:
-    """Solutions whose scalarized value is within factor alpha of the optimum."""
-    check_alpha(alpha)
-    if instance.sense != MIN:
-        raise UnsupportedSense("max-ordering scalarization is defined for minimization instances")
-    return set(_near_optimal(instance.ids(), (instance.min_images() * (weights.w1, weights.w2)).max(axis=1), alpha))
-
-
-def balanced_weights(params: ConeParams) -> MaxOrderingWeights:
+def balanced_weights(params: ConeParams) -> tuple[float, float]:
     """The weight pair balancing the transformed components at the matched ratio.
 
     Requires a strictly interior rotation: both the rotation and its
@@ -123,7 +70,7 @@ def balanced_weights(params: ConeParams) -> MaxOrderingWeights:
         raise DegeneratePhi(f"interior rotation required, got phi={phi!r}, phi'={phi_p!r}")
     sp, cp = math.sqrt(math.sin(phi)), math.sqrt(math.cos(phi))
     spp, cpp = math.sqrt(math.sin(phi_p)), math.sqrt(math.cos(phi_p))
-    return MaxOrderingWeights(sp / cpp + cp / spp, spp / cp + cpp / sp)
+    return (sp / cpp + cp / spp, spp / cp + cpp / sp)
 
 
 def _matched_tangent(gamma: float, q: float) -> float:
@@ -172,5 +119,6 @@ def build_cover_set(instance: Instance, gamma: float, alpha: float = 1.0) -> set
     for q in sorted({float(r) for r in f1 / f2}):
         a = _matched_tangent(gamma, q)
         vals = np.maximum(f1 / q + q * a * f2, a * f1 + f2)
-        out.add(min(_near_optimal(ids, vals, alpha)))
+        level = alpha * vals.min() + TAU_VAL
+        out.add(min(ids[i] for i in np.flatnonzero(vals <= level)))
     return out

@@ -3,9 +3,10 @@
 For a fixed inner angle, a solution is supported in the generalized sense if
 some admissible rotation makes it optimal for the induced cone order.  On a
 finite instance this is decided exactly: each other solution dominates on a
-single closed rotation window (see geometry.rotation_window), and what the
-windows leave of the admissible range is always a single interval, found in
-one vectorized O(n) pass per solution (see intervals.surviving_intervals).
+single closed rotation window [-theta, gamma - theta], theta the angle of
+the image difference, and what the windows leave of the admissible range is
+always a single interval, found in one vectorized O(n) pass per solution
+(see intervals.surviving_intervals).
 
 Inner angle pi/2 (and every angle within TAU_ANGLE of it, see
 geometry.admissible_range) recovers the efficient set unless two images

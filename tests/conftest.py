@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 import coneapprox as ca
 from coneapprox.errors import InvalidParams
-from coneapprox.geometry import ConeParams, admissible_range
-from coneapprox.instances import Instance, cone_efficient_set
-from coneapprox.tolerances import TAU_ANGLE
+from coneapprox.geometry import ConeParams, Vector2, admissible_range, transform
+from coneapprox.instances import MAX, Instance, cone_efficient_set
+from coneapprox.tolerances import TAU_ANGLE, TAU_VAL
 
 settings.register_profile(
     "default",
@@ -76,10 +76,32 @@ def random_min_instance(seed: int, n: int, lo: float = 0.1, hi: float = 10.0) ->
 # --- independent oracles ------------------------------------------------------
 
 
+def dominates(instance: Instance, a: str, b: str) -> bool:
+    """Whether solution `a` dominates solution `b` in the instance's sense.
+
+    Minimization: f(a) <= f(b) componentwise and the images differ, with
+    both comparisons relaxed by TAU_VAL.  Maximization mirrors with >=.
+    """
+    fa = instance.objectives_of(a)
+    fb = instance.objectives_of(b)
+    if instance.sense == MAX:
+        fa, fb = (-fa[0], -fa[1]), (-fb[0], -fb[1])
+    if fa[0] > fb[0] + TAU_VAL or fa[1] > fb[1] + TAU_VAL:
+        return False
+    return fa[0] < fb[0] - TAU_VAL or fa[1] < fb[1] - TAU_VAL
+
+
 def brute_efficient(instance: ca.Instance) -> set[str]:
     """O(n^2) pairwise dominance check."""
     ids = instance.ids()
-    return {a for a in ids if not any(b != a and ca.dominates(instance, b, a) for b in ids)}
+    return {a for a in ids if not any(b != a and dominates(instance, b, a) for b in ids)}
+
+
+def cone_contains(params: ConeParams, d: Vector2, tol: float = TAU_VAL) -> bool:
+    """Closed-cone membership, relaxed by an absolute tolerance on the
+    transformed coordinates."""
+    t1, t2 = transform(params, d)
+    return t1 >= -tol and t2 >= -tol
 
 
 def transformed_instance(instance: ca.Instance, params: ca.ConeParams) -> ca.Instance:

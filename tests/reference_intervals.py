@@ -21,12 +21,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 import coneapprox as ca
-from coneapprox.geometry import Vector2, admissible_range, rotation_window
+from coneapprox.errors import ConeApproxError
+from coneapprox.geometry import Vector2, admissible_range
 from coneapprox.intervals import PhiIntervalSet
 from coneapprox.tolerances import TAU_ANGLE, TAU_VAL
 
 Interval = tuple[float, float]
+
+
+class ZeroDirection(ConeApproxError, ValueError):
+    """A direction vector of (0, 0) was passed where a nonzero one is required."""
+
+
+def rotation_window(gamma: float, d: Vector2) -> tuple[float, float]:
+    """Unclipped rotation interval [-theta, gamma - theta] on which d lies in
+    the cone, with theta = atan2(d2, d1).  Raises ZeroDirection for d = (0, 0).
+    numpy's arctan2 (not math.atan2, which can differ in the last bit) keeps
+    this bit-identical to the block kernel intervals.surviving_intervals."""
+    if d[0] == 0.0 and d[1] == 0.0:
+        raise ZeroDirection("direction (0, 0) has no rotation window")
+    theta = float(np.arctan2(d[1], d[0]))
+    return (-theta, gamma - theta)
 
 
 @dataclass(frozen=True)

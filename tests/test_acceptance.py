@@ -210,10 +210,10 @@ def test_criterion_12_balanced_weights():
         span = gamma - PI / 2
         for frac in np.linspace(0.02, 0.98, 30):
             params = ca.ConeParams(float(gamma), float(frac * span))
-            w = ca.balanced_weights(params)
+            w1, w2 = ca.balanced_weights(params)
             r = math.sqrt(math.tan(params.phi_prime)) / math.sqrt(math.tan(params.phi))
             t = ca.transform(params, (r, 1.0))
-            lhs, rhs = w.w1 * t[0], w.w2 * t[1]
+            lhs, rhs = w1 * t[0], w2 * t[1]
             assert abs(lhs - rhs) / max(lhs, rhs) <= 1e-10
             checked += 1
     assert checked >= 1000

@@ -229,40 +229,6 @@ class TestMinAlpha:
         assert not ca.is_alpha_approx_pair(inst, None, "x1", "x3", 2.9)
 
 
-class TestConeToComponentwiseFactor:
-    def test_pareto_cone_is_identity_factor(self):
-        p = ca.ConeParams.pareto()
-        assert ca.cone_to_componentwise_factor(p, (1.0, 1.0), 1.7) == pytest.approx(1.7)
-
-    def test_symmetric_halfplane_doubles(self):
-        p = ca.ConeParams(PI, PI / 4)
-        assert ca.cone_to_componentwise_factor(p, (1.0, 1.0), 1.0) == pytest.approx(2.0, abs=1e-9)
-
-    def test_matched_ratio_gives_distortion(self):
-        gamma = 0.8 * PI
-        phi = 0.3 * (gamma - PI / 2)
-        p = ca.ConeParams(gamma, phi)
-        r = math.sqrt(math.tan(p.phi_prime)) / math.sqrt(math.tan(p.phi))
-        got = ca.cone_to_componentwise_factor(p, (r, 1.0), 1.25)
-        want = 1.25 * (1.0 + math.sqrt(math.tan(p.phi) * math.tan(p.phi_prime)))
-        assert got == pytest.approx(want, rel=1e-12)
-
-    @given(min_instances(min_size=2, max_size=6), cone_params(), st.floats(1.0, 3.0))
-    def test_bounds_componentwise_ratio(self, inst, params, alpha):
-        # Whenever a cone-order cover holds, the componentwise ratios stay
-        # below the implied factor.
-        ids = inst.ids()
-        for by in ids[:3]:
-            for target in ids[:3]:
-                if not ca.is_alpha_approx_pair(inst, params, by, target, alpha):
-                    continue
-                fb = inst.objectives_of(by)
-                ft = inst.objectives_of(target)
-                ratio = max(fb[0] / ft[0], fb[1] / ft[1])
-                factor = ca.cone_to_componentwise_factor(params, ft, alpha)
-                assert ratio <= factor + 1e-6
-
-
 class TestRotationCoverageGaps:
     def test_tightness_family_covered_at_alpha(self):
         inst = tightness_instance(2.0, 3 * PI / 4, 0.2)

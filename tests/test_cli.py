@@ -19,6 +19,8 @@ PI = math.pi
 
 # The factor of c over t overflows to inf.
 SUBNORMAL_INSTANCE = '{"sense": "min", "solutions": [{"id": "t", "f": [1e-310, 1]}, {"id": "c", "f": [1, 1e-310]}]}'
+# Python's own JSON writer emits Infinity by default; the JSON grammar has no such number.
+NONJSON_INSTANCE = '{"sense": "min", "solutions": [{"id": "a", "f": [Infinity, 1.0]}]}'
 
 
 def run(argv):
@@ -373,6 +375,7 @@ EXIT_CONTRACT = [
     ("validate {inst}", 0),
     ("validate {bad_inst}", 1),
     ("validate {missing}", 2),
+    ("validate {nonjson_inst}", 2),
     ("sets {inst} --mode efficient", 0),
     ("sets {inst} --mode gamma-supported --gamma 0.3pi", 1),
     ("sets {missing} --mode efficient", 2),
@@ -429,6 +432,8 @@ def test_exit_code_contract(template, code, tmp_path, example1_file):
     bad.write_text('{"sense": "min", "solutions": [{"id": "a", "f": [1, -2]}]}')
     subnormal = tmp_path / "subnormal.json"
     subnormal.write_text(SUBNORMAL_INSTANCE)
+    nonjson = tmp_path / "nonjson.json"
+    nonjson.write_text(NONJSON_INSTANCE)
     sweep_csv = tmp_path / "sweep.csv"
     sweep_csv.write_text(f"{SWEEP_HEADER}\n{PI!r},bounds,,2.0,2.0\n")
     nonfinite_csv = tmp_path / "nonfinite.csv"
@@ -441,6 +446,7 @@ def test_exit_code_contract(template, code, tmp_path, example1_file):
         "inst": example1_file,
         "bad_inst": bad,
         "subnormal_inst": subnormal,
+        "nonjson_inst": nonjson,
         "missing": tmp_path / "missing.json",
         "out_json": tmp_path / "out.json",
         "out_csv": tmp_path / "out.csv",

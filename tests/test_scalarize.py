@@ -11,7 +11,6 @@ from coneapprox.errors import (
     DegeneratePhi,
     InadmissibleCone,
     InvalidRatio,
-    NonpositiveWeight,
     UnsupportedSense,
 )
 from coneapprox.generators import random_front
@@ -41,6 +40,19 @@ def bisect_rotation_for_ratio(gamma: float, q: float) -> float:
             hi = mid
 
 
+def max_ordering_level_set(
+    inst: ca.Instance, weights: tuple[float, float], alpha: float = 1.0, params: ca.ConeParams | None = None
+) -> set[str]:
+    """The solutions whose max-ordering value max(w1*y1, w2*y2) on the images
+    y = inst.min_images(params) is at most alpha * best + TAU_VAL, with best
+    the smallest value (alpha = 1 gives the optima)."""
+    images = inst.min_images(params)
+    vals = np.maximum(weights[0] * images[:, 0], weights[1] * images[:, 1])
+    level = alpha * vals.min(initial=np.inf) + TAU_VAL
+    ids = inst.ids()
+    return {ids[i] for i in np.flatnonzero(vals <= level)}
+
+
 def reference_cover_set(inst: ca.Instance, gamma: float, alpha: float = 1.0) -> set[str]:
     """Reference for build_cover_set: per realized ratio, the balanced
     max-ordering scalarization of the instance transformed at the matched
@@ -48,15 +60,10 @@ def reference_cover_set(inst: ca.Instance, gamma: float, alpha: float = 1.0) -> 
     alpha * best + TAU_VAL.  Raises DegeneratePhi where balanced_weights does.
     """
     images = inst.min_images()
-    ids = inst.ids()
     out = set()
     for q in sorted({float(r) for r in images[:, 0] / images[:, 1]}):
         params = ca.ConeParams(gamma, ca.rotation_for_ratio(gamma, q))
-        w = ca.balanced_weights(params)
-        transformed = inst.min_images(params)
-        vals = np.maximum(w.w1 * transformed[:, 0], w.w2 * transformed[:, 1])
-        level = alpha * vals.min() + TAU_VAL
-        out.add(min(ids[i] for i in np.flatnonzero(vals <= level)))
+        out.add(min(max_ordering_level_set(inst, ca.balanced_weights(params), alpha, params)))
     return out
 
 
@@ -73,48 +80,17 @@ def scaled(inst: ca.Instance, s1: float, s2: float) -> ca.Instance:
 COVER_GAMMAS = (0.51 * PI, 0.6 * PI, 0.75 * PI, 0.9 * PI, PI)
 
 
-class TestWeightedSum:
-    def test_symmetric_tie(self):
-        inst = ca.make_instance("min", [("x1", 1, 3), ("x2", 3, 1)])
-        assert ca.weighted_sum_optima(inst, 1.0, 1.0) == {"x1", "x2"}
-
-    def test_asymmetric(self):
-        inst = ca.make_instance("min", [("x1", 1, 3), ("x2", 3, 1)])
-        assert ca.weighted_sum_optima(inst, 2.0, 1.0) == {"x1"}
-
-    def test_single_solution(self):
-        inst = ca.make_instance("min", [("only", 2, 2)])
-        assert ca.weighted_sum_optima(inst, 0.3, 0.7) == {"only"}
-
-    def test_max_sense_argmax(self):
-        inst = ca.make_instance("max", [("x1", 1, 3), ("x2", 3, 1)])
-        assert ca.weighted_sum_optima(inst, 2.0, 1.0) == {"x2"}
-
-    def test_nonpositive_weight(self):
-        inst = ca.make_instance("min", [("x1", 1, 1)])
-        with pytest.raises(NonpositiveWeight):
-            ca.weighted_sum_optima(inst, 0.0, 1.0)
-
-    @pytest.mark.parametrize("w", [math.inf, math.nan])
-    def test_nonfinite_weight(self, w):
-        inst = ca.make_instance("min", [("x1", 1, 1)])
-        with pytest.raises(NonpositiveWeight):
-            ca.weighted_sum_optima(inst, w, 1.0)
-
-    @given(min_instances(), st.tuples(lattice_floats(0.1, 5.0), lattice_floats(0.1, 5.0)))
-    def test_optima_are_efficient(self, inst, w):
-        eff = ca.efficient_set(inst)
-        assert ca.weighted_sum_optima(inst, *w) <= eff
-
-
 class TestMaxOrdering:
+    """max_ordering_level_set at alpha = 1: the optima that
+    reference_cover_set and the covering chain read."""
+
     def test_symmetric_tie(self):
         inst = ca.make_instance("min", [("x1", 1, 3), ("x2", 3, 1)])
-        assert ca.max_ordering_optima(inst, ca.MaxOrderingWeights(1.0, 1.0)) == {"x1", "x2"}
+        assert max_ordering_level_set(inst, (1.0, 1.0)) == {"x1", "x2"}
 
     def test_unbalanced(self):
         inst = ca.make_instance("min", [("x1", 2, 2), ("x2", 1, 5)])
-        assert ca.max_ordering_optima(inst, ca.MaxOrderingWeights(1.0, 1.0)) == {"x1"}
+        assert max_ordering_level_set(inst, (1.0, 1.0)) == {"x1"}
 
     def test_reciprocal_weights_select_target(self):
         # For an efficient solution x with weights 1/f_i(x) the scalarized
@@ -122,64 +98,53 @@ class TestMaxOrdering:
         inst = ca.make_instance("min", [("a", 1, 4), ("b", 2, 2), ("c", 4, 1)])
         for sid in ca.efficient_set(inst):
             f = inst.objectives_of(sid)
-            got = ca.max_ordering_optima(inst, ca.MaxOrderingWeights(1 / f[0], 1 / f[1]))
+            got = max_ordering_level_set(inst, (1 / f[0], 1 / f[1]))
             assert sid in got
-
-    def test_weights_must_be_positive(self):
-        with pytest.raises(NonpositiveWeight):
-            ca.MaxOrderingWeights(1.0, 0.0)
-        with pytest.raises(NonpositiveWeight):
-            ca.MaxOrderingWeights(-1.0, 1.0)
-
-    def test_min_sense_only(self):
-        inst = ca.make_instance("max", [("a", 1, 1)])
-        with pytest.raises(UnsupportedSense):
-            ca.max_ordering_optima(inst, ca.MaxOrderingWeights(1.0, 1.0))
 
     @given(min_instances())
     def test_some_optimum_is_efficient(self, inst):
-        got = ca.max_ordering_optima(inst, ca.MaxOrderingWeights(1.0, 1.0))
+        got = max_ordering_level_set(inst, (1.0, 1.0))
         assert got & ca.efficient_set(inst)
 
 
 class TestAlphaApproximateLevelSet:
     def test_alpha_one_is_optima(self):
         inst = ca.make_instance("min", [("x1", 2, 2), ("x2", 3, 3)])
-        w = ca.MaxOrderingWeights(1.0, 1.0)
-        assert ca.alpha_approximate_for_max_ordering(inst, w, 1.0) == ca.max_ordering_optima(inst, w)
+        assert max_ordering_level_set(inst, (1.0, 1.0), 1.0) == {"x1"}
 
     def test_level_inclusion(self):
-        w = ca.MaxOrderingWeights(1.0, 1.0)
+        w = (1.0, 1.0)
         inst = ca.make_instance("min", [("x1", 2, 2), ("x2", 3, 3)])
-        assert ca.alpha_approximate_for_max_ordering(inst, w, 1.5) == {"x1", "x2"}
+        assert max_ordering_level_set(inst, w, 1.5) == {"x1", "x2"}
         inst2 = ca.make_instance("min", [("x1", 2, 2), ("x2", 3.1, 3.1)])
-        assert ca.alpha_approximate_for_max_ordering(inst2, w, 1.5) == {"x1"}
+        assert max_ordering_level_set(inst2, w, 1.5) == {"x1"}
 
     def test_alpha_below_one_rejected(self):
+        # The level-set factor is checked where the level set is drawn.
         inst = ca.make_instance("min", [("x1", 1, 1)])
         with pytest.raises(AlphaBelowOne):
-            ca.alpha_approximate_for_max_ordering(inst, ca.MaxOrderingWeights(1, 1), 0.5)
+            ca.build_cover_set(inst, PI, 0.5)
 
     def test_nan_alpha_rejected(self):
         inst = ca.make_instance("min", [("x1", 1, 1)])
         for alpha in (math.nan, math.inf):
             with pytest.raises(AlphaBelowOne):
-                ca.alpha_approximate_for_max_ordering(inst, ca.MaxOrderingWeights(1, 1), alpha)
+                ca.build_cover_set(inst, PI, alpha)
 
 
 class TestBalancedWeights:
     def test_symmetric_halfplane(self):
-        w = ca.balanced_weights(ca.ConeParams(PI, PI / 4))
-        assert w.w1 == pytest.approx(2.0, abs=1e-12)
-        assert w.w2 == pytest.approx(2.0, abs=1e-12)
+        w1, w2 = ca.balanced_weights(ca.ConeParams(PI, PI / 4))
+        assert w1 == pytest.approx(2.0, abs=1e-12)
+        assert w2 == pytest.approx(2.0, abs=1e-12)
 
     def test_symmetric_rotation_weights_equal(self):
         gamma = 3 * PI / 4
         p = ca.ConeParams(gamma, 0.5 * gamma - 0.25 * PI)
-        w = ca.balanced_weights(p)
+        w1, w2 = ca.balanced_weights(p)
         x = math.sqrt(math.sin(PI / 8)) / math.sqrt(math.cos(PI / 8))
-        assert w.w1 == pytest.approx(x + 1 / x, abs=1e-12)
-        assert w.w1 == pytest.approx(w.w2, abs=1e-12)
+        assert w1 == pytest.approx(x + 1 / x, abs=1e-12)
+        assert w1 == pytest.approx(w2, abs=1e-12)
 
     def test_degenerate_rotation_rejected(self):
         with pytest.raises(DegeneratePhi):
@@ -195,12 +160,12 @@ class TestBalancedWeights:
         if phi <= 1e-9 or (gamma - PI / 2 - phi) <= 1e-9:
             return
         p = ca.ConeParams(gamma, phi)
-        w = ca.balanced_weights(p)
+        w1, w2 = ca.balanced_weights(p)
         r = math.sqrt(math.tan(p.phi_prime)) / math.sqrt(math.tan(p.phi))
         f = (r, 1.0)
         t = ca.transform(p, f)
-        lhs = w.w1 * t[0]
-        rhs = w.w2 * t[1]
+        lhs = w1 * t[0]
+        rhs = w2 * t[1]
         assert abs(lhs - rhs) / max(lhs, rhs) < 1e-10
 
 
@@ -364,8 +329,7 @@ class TestMaxOrderingCoverage:
         # Append a solution with balanced weighted components for w = (1, 2).
         balanced = ca.Solution("balanced", (2.0 * base[0], base[0]))
         inst = ca.Instance("min", inst.solutions + (balanced,))
-        w = ca.MaxOrderingWeights(1.0, 2.0)
-        for x in ca.alpha_approximate_for_max_ordering(inst, w, alpha):
+        for x in max_ordering_level_set(inst, (1.0, 2.0), alpha):
             assert ca.is_alpha_approx_pair(inst, None, x, "balanced", alpha)
 
     @given(
@@ -391,7 +355,7 @@ class TestMaxOrderingCoverage:
         cone_factor = alpha * (
             1.0 + math.sqrt(math.tan(params.phi) * math.tan(params.phi_prime))
         )
-        for x in ca.alpha_approximate_for_max_ordering(transformed, w, alpha):
+        for x in max_ordering_level_set(transformed, w, alpha):
             assert ca.is_alpha_approx_pair(inst, params, x, "matched", alpha * (1 + 1e-9))
             assert ca.is_alpha_approx_pair(inst, None, x, "matched", cone_factor * (1 + 1e-9))
             assert cone_factor <= alpha * ca.guarantee_factor(gamma) + 1e-9

@@ -1,7 +1,8 @@
-"""The public surface: the exported names, and every entry point the bench
-harness wraps by module path (so a deletion cannot silently break its
-per-layer trace)."""
+"""The public surface: the exported names, that each has a caller outside
+the unit tests, and every entry point the bench harness wraps by module path
+(so a deletion cannot silently break its per-layer trace)."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,18 +13,17 @@ import coneapprox as ca
 from coneapprox.instances import Instance
 
 EXPORTED = {
-    "ApproxReport", "BoundTable", "ConeParams", "Instance", "MaxOrderingWeights", "PhiIntervalSet",
-    "Solution", "TAU_ANGLE", "TAU_VAL", "Violation", "admissible", "admissible_range",
-    "alpha_approximate_for_max_ordering", "alternative_forms", "balanced_weights", "build_cover_set",
-    "cone_contains", "cone_efficient_set", "cone_to_componentwise_factor", "distortion_gap",
-    "distortion_identity_residual", "dominates", "dump_instance", "efficient_set", "gamma_supported_set",
-    "guarantee_factor", "instance_from_obj", "instance_to_obj", "is_alpha_approx_for_all_rotations",
-    "is_alpha_approx_pair", "load_instance", "make_instance", "max_ordering_optima", "min_alpha",
-    "optimal_phi_set", "rotation_coverage_gaps", "rotation_for_ratio", "rule_of_thumb", "supported_set",
-    "transform", "validate", "verify_approx_set", "weighted_sum_optima",
+    "ApproxReport", "BoundTable", "ConeParams", "Instance", "PhiIntervalSet", "Solution", "TAU_ANGLE",
+    "TAU_VAL", "Violation", "admissible", "admissible_range", "alternative_forms", "balanced_weights",
+    "build_cover_set", "cone_efficient_set", "distortion_gap", "distortion_identity_residual",
+    "dump_instance", "efficient_set", "gamma_supported_set", "guarantee_factor", "instance_from_obj",
+    "instance_to_obj", "is_alpha_approx_for_all_rotations", "is_alpha_approx_pair", "load_instance",
+    "make_instance", "min_alpha", "optimal_phi_set", "rotation_coverage_gaps", "rotation_for_ratio",
+    "rule_of_thumb", "supported_set", "transform", "validate", "verify_approx_set",
 }
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_exported_names():
@@ -31,6 +31,30 @@ def test_exported_names():
     assert set(ca.__all__) == EXPORTED
     for name in ca.__all__:
         assert getattr(ca, name) is not None, name
+
+
+def _referenced_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_every_export_is_reached():
+    # An export earns its place when the package itself, a script, the
+    # bench or an acceptance criterion refers to it; unit tests alone do not
+    # count.
+    package = ROOT / "src" / "coneapprox"
+    files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    files.append(ROOT / "tests" / "test_acceptance.py")
+    reached = set().union(*map(_referenced_names, files))
+    assert sorted(set(ca.__all__) - reached) == []
 
 
 def _bench_targets():
